@@ -5,7 +5,12 @@ form the observed subsystem (variant "I"), and an open chain with power-law
 density-density couplings observed at its central pair (variant "II").  The
 full many-body state is evolved unitarily through a one-time dense
 eigendecomposition of the chain Hamiltonian; reduced two-spin snapshots are
-read off as coherence vectors on a uniform time grid.
+read off as coherence vectors on a uniform time grid.  The evolved full
+state is never formed: each entry (a, b) of the reduced 4x4 state is a
+2^N x 2^N weight block contracted against a chunk of phase rows.  The ten
+blocks with a <= b are built and contracted with BLAS matrix products one
+at a time, and the others are their Hermitian mirrors, so memory stays
+O(4^N + chunk * 2^N).
 
 Site 1 is the most significant qubit of the computational basis, so the
 basis index of a product state is sum_i bit_i * 2^(N-i).  Basis state |0>
@@ -236,9 +241,13 @@ class Trajectory:
 _EIG_CACHE = {}
 _EIG_CACHE_MAX = 4
 
+# complex elements per phase chunk: the chunk's rows times m stays near this,
+# so the phase arrays take O(chunk * m) memory beside the O(m^2) blocks
+_PHASE_CHUNK_ELEMS = 500_000
+
 
 def _chain_eigensystem(model):
-    """Cached (eigenvalues, subsystem-resolved eigenvectors, bath state)."""
+    """Cached (eigenvalues, subsystem-resolved eigenvectors, real bath state)."""
     hit = _EIG_CACHE.get(model)
     if hit is not None:
         return hit
@@ -248,7 +257,7 @@ def _chain_eigensystem(model):
     m = 1 << n
     R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
     R = np.ascontiguousarray(R.reshape(4, m // 4, m))
-    entry = (w, R, bath_thermal_state(model))
+    entry = (w, R, np.ascontiguousarray(bath_thermal_state(model).real))
     if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
         _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
     _EIG_CACHE[model] = entry
@@ -260,9 +269,19 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
     """Evolve rho_s0 (x) rho_B under the chain Hamiltonian; return the
     subsystem Trajectory with n_steps+1 snapshots including t=0.
 
-    The propagation is exact: with H = U w U^T diagonalized once, the
-    reduced state at time t is contracted from phase factors exp(-i w t)
-    and the initial state rotated to the eigenbasis.
+    The propagation is exact.  With H = U diag(w) U^T diagonalized once and
+    U split into the four subsystem row blocks R_a (m/4 x m, real), the
+    initial state in the eigenbasis is rt0 = sum_ab rho_s0[a,b] R_a^T rho_B
+    R_b, built from real matrix products.  Block (a, b) of the reduced state
+    at time t = k dt is
+
+        rho_ab(t) = sum_pq P[k,p] ((R_a^T R_b) o rt0)[p,q] conj(P[k,q]),
+
+    with phases P[k,p] = exp(-i w_p t).  Only the ten blocks with a <= b are
+    computed, each as one real product R_a^T R_b and one complex product
+    with a chunk of phase rows; the blocks with b < a are their Hermitian
+    mirror.  Memory is O(m^2 + chunk * m) for m = 2^N: one m x m block at
+    a time, never the full (4, 4, m, m) tensor.
     """
     if model.n_sites > max_sites:
         raise CapacityError(
@@ -272,28 +291,45 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
+    rho_s0 = np.asarray(rho_s0, dtype=complex)
+    if rho_s0.shape != (4, 4):
+        raise ValueError(f"rho_s0 must be 4x4, got {rho_s0.shape}")
+    if np.abs(rho_s0 - rho_s0.conj().T).max() > 1e-9:
+        raise ValueError("rho_s0 is not Hermitian")
     w, R, rho_b = _chain_eigensystem(model)
+    m = w.size
     # R's row ordering is (subsystem bits, bath bits ascending), which is
     # exactly the kron layout of rho_s0 (x) rho_b: no site permutation needed.
-    rho0 = np.kron(np.asarray(rho_s0, dtype=complex), rho_b)
-    U = R.reshape(-1, w.size)
-    rt0 = U.T @ rho0 @ U
-
-    B = np.einsum("aBp,bBq->abpq", R, R)
-    B = B * rt0[None, None]
+    U = R.reshape(m, m)
+    Q = (rho_b @ R).reshape(4, -1)
+    rt0 = np.empty((m, m), dtype=complex)
+    rt0.real = U.T @ (rho_s0.real @ Q).reshape(m, m)
+    rt0.imag = U.T @ (rho_s0.imag @ Q).reshape(m, m)
+    del Q
 
     n_snap = n_steps + 1
     out = np.empty((n_snap, 4, 4), dtype=complex)
-    chunk = max(64, 500_000 // w.size)
+    gram = np.empty((m, m))
+    block = np.empty((m, m), dtype=complex)
+    chunk = max(64, _PHASE_CHUNK_ELEMS // m)
     for start in range(0, n_snap, chunk):
         ks = np.arange(start, min(start + chunk, n_snap))
         P = np.exp(-1j * np.outer(ks * dt, w))
-        s1 = np.einsum("abpq,tq->abpt", B, P.conj())
-        out[ks] = np.einsum("abpt,tp->tab", s1, P)
+        Pc = P.conj()
+        for a in range(4):
+            for b in range(a, 4):
+                np.matmul(R[a].T, R[b], out=gram)
+                np.multiply(gram, rt0, out=block)
+                val = np.einsum("tp,tp->t", P, Pc @ block.T)
+                out[ks, a, b] = val
+                if b != a:
+                    out[ks, b, a] = val.conj()
 
     basis = _basis2()
     F = basis.elements
     v = np.einsum("tij,kji->tk", out, F)
+    # the mirrored blocks make every off-diagonal pair exactly Hermitian, so
+    # this sees the imaginary parts of the computed diagonal blocks
     if np.abs(v.imag).max() > 1e-9:
         raise ValueError("reduced snapshots have non-negligible imaginary part")
     v = v.real
@@ -328,8 +364,9 @@ def save_trajectory(path, traj):
     ]
     ncomp = traj.snapshots.shape[1]
     lines.append("step," + ",".join(f"v_{k}" for k in range(1, ncomp + 1)))
-    for k, row in enumerate(traj.snapshots):
-        lines.append(str(k) + "," + ",".join(f"{x:.17g}" for x in row))
+    row_fmt = "%d" + ",%.17g" * ncomp
+    lines += [row_fmt % (k, *row)
+              for k, row in enumerate(traj.snapshots.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -353,10 +390,11 @@ def load_trajectory(path):
         V_prime=float(meta["V_prime"]), alpha=float(meta["alpha"]),
         beta=float(meta["beta"]))
     n_steps = int(meta["n_steps"])
-    rows = [ln.split(",") for ln in lines[body:] if ln]
+    rows = [ln for ln in lines[body:] if ln]
     if len(rows) != n_steps + 1:
         raise ValueError(f"{path}: expected {n_steps + 1} rows, got {len(rows)}")
-    snaps = np.array([[float(x) for x in r[1:]] for r in rows])
+    snaps = np.ascontiguousarray(
+        np.loadtxt(rows, delimiter=",", ndmin=2)[:, 1:])
     seed = int(meta["seed"]) if meta.get("seed") else None
     return Trajectory(model=model, dt=float(meta["dt"]), snapshots=snaps,
                       seed=seed)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 from scipy.integrate import solve_ivp
-from scipy.linalg import sqrtm
 
 from lindfit.cli import derive_seed, reference_two_spin_hamiltonian
 from lindfit.lindblad_generator import (
@@ -70,10 +69,14 @@ def _synthetic_generator():
     for J in jumps:
         w = np.array([np.trace(F @ J) for F in basis.elements[:basis.n]])
         c += np.outer(w, w.conj())
-    Z = sqrtm(c)
+    # c has rank 2: take its PSD square root from the eigenbasis, with the
+    # rounding-level negative eigenvalues clipped to zero
+    lam, V = np.linalg.eigh(c)
+    Z = (V * np.sqrt(np.clip(lam, 0.0, None))) @ V.conj().T
     params = GeneratorParams(omega=om,
                              X=np.ascontiguousarray(Z.real),
                              Y=np.ascontiguousarray(Z.imag))
+    assert np.abs(kossakowski_from_factors(params.X, params.Y) - c).max() < 1e-14
     return params, basis
 
 

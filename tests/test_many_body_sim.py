@@ -4,9 +4,12 @@ Evolution is cross-checked against a direct dense oracle: diagonalize the
 full Hamiltonian with numpy, rotate, apply phases, partial-trace by hand.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lindfit import many_body_sim as mbs
 from lindfit.many_body_sim import (
     CapacityError,
     SpinChainModel,
@@ -215,17 +218,63 @@ def test_free_subsystem_rabi_oscillation():
     np.testing.assert_allclose(2 * traj.snapshots[:, 14], np.cos(t), atol=1e-12)
 
 
-@pytest.mark.parametrize("model", [
-    SpinChainModel("I", 5, 1.0, 1.0, V_prime=0.6, beta=0.3),
-    SpinChainModel("II", 6, 1.0, 0.1, alpha=0.3, beta=1.0),
+_ORACLE_I = SpinChainModel("I", 5, 1.0, 1.0, V_prime=0.6, beta=0.3)
+_ORACLE_II = SpinChainModel("II", 6, 1.0, 0.1, alpha=0.3, beta=1.0)
+_ORACLE_SEEDS = {"I": 311, "II": 627}
+
+
+@pytest.mark.parametrize("model,chunk_rows,n_steps,steps", [
+    pytest.param(_ORACLE_I, None, 25, [0, 1, 7, 25], id="model0"),
+    pytest.param(_ORACLE_II, None, 25, [0, 1, 7, 25], id="model1"),
+    # 160 snapshots are exactly two phase chunks of 80 rows
+    pytest.param(_ORACLE_I, 80, 159, [0, 1, 79, 80, 81, 159],
+                 id="I-two-full-chunks"),
+    pytest.param(_ORACLE_II, 80, 159, [0, 1, 79, 80, 81, 159],
+                 id="II-two-full-chunks"),
+    # 151 snapshots leave a short last chunk of 71 rows
+    pytest.param(_ORACLE_I, 80, 150, [0, 79, 80, 149, 150],
+                 id="I-short-last-chunk"),
+    pytest.param(_ORACLE_II, 80, 150, [0, 79, 80, 149, 150],
+                 id="II-short-last-chunk"),
 ])
-def test_evolution_matches_dense_oracle(model):
-    rng = np.random.default_rng(hash(model.variant) % 1000)
+def test_evolution_matches_dense_oracle(model, chunk_rows, n_steps, steps,
+                                        monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(mbs, "_PHASE_CHUNK_ELEMS",
+                            chunk_rows << model.n_sites)
+    rng = np.random.default_rng(_ORACLE_SEEDS[model.variant])
     rho_s0 = ginibre_density_matrix(4, rng)
-    traj = evolve_and_reduce(model, rho_s0, 0.2, 25)
-    steps = [0, 1, 7, 25]
+    traj = evolve_and_reduce(model, rho_s0, 0.2, n_steps)
     oracle = _full_oracle_trajectory(model, rho_s0, 0.2, steps)
     assert np.abs(traj.snapshots[steps] - oracle).max() < 1e-12
+
+
+def test_evolution_peak_memory_is_order_m_squared():
+    # the contraction must stream one m x m block at a time; materializing
+    # the (4, 4, m, m) block tensor alone would take 16 * 16 m^2 bytes
+    model = SpinChainModel("II", 8, 1.0, 0.1, alpha=0.3, beta=1.0)
+    m = 1 << model.n_sites
+    rho_s0 = ginibre_density_matrix(4, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        evolve_and_reduce(model, rho_s0, 0.1, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * m * m
+
+
+def test_evolution_refuses_non_hermitian_state():
+    model = SpinChainModel("I", 4, 1.0, 0.7, V_prime=0.3, beta=0.2)
+    rho = ginibre_density_matrix(4, np.random.default_rng(21))
+    with pytest.raises(ValueError):
+        evolve_and_reduce(model, rho + 1e-3j * np.eye(4), 0.1, 5)
+    # an anti-Hermitian part in one off-diagonal pair only, with no later
+    # snapshot in which the dynamics could carry it onto the diagonal
+    skew = np.zeros((4, 4))
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    with pytest.raises(ValueError):
+        evolve_and_reduce(model, rho + skew, 0.1, 0)
 
 
 def test_evolution_conserves_subsystem_sanity():
@@ -297,6 +346,57 @@ def test_trajectory_file_round_trip(tmp_path):
     assert back.model == model
     assert back.dt == 0.07
     assert back.seed == 4
+
+
+def _save_trajectory_row_loop(path, traj):
+    """Reference writer: the header, then one row at a time, value by value."""
+    m = traj.model
+    lines = [
+        f"variant={m.variant}",
+        f"n_sites={m.n_sites}",
+        f"omega={m.omega:.17g}",
+        f"V={m.V:.17g}",
+        f"V_prime={m.V_prime:.17g}",
+        f"alpha={m.alpha:.17g}",
+        f"beta={m.beta:.17g}",
+        f"dt={traj.dt:.17g}",
+        f"n_steps={traj.snapshots.shape[0] - 1}",
+        f"seed={'' if traj.seed is None else traj.seed}",
+        f"convention_id={build_pauli_basis(2).convention_id}",
+    ]
+    ncomp = traj.snapshots.shape[1]
+    lines.append("step," + ",".join(f"v_{k}" for k in range(1, ncomp + 1)))
+    for k, row in enumerate(traj.snapshots):
+        lines.append(str(k) + "," + ",".join(f"{x:.17g}" for x in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _load_rows_loop(path):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    body = next(k for k, ln in enumerate(lines) if ln.startswith("step,")) + 1
+    return np.array([[float(x) for x in ln.split(",")[1:]]
+                     for ln in lines[body:] if ln])
+
+
+@pytest.mark.parametrize("n_steps,seed", [(0, None), (1, 3), (60, 17)])
+def test_trajectory_file_matches_row_loop_reference(tmp_path, n_steps, seed):
+    model = SpinChainModel("I", 4, 1.0, 0.6, V_prime=0.25, beta=0.4)
+    traj = generate_trajectory(model, 0.03, n_steps, seed=11)
+    traj.seed = seed
+    # exercise signed zero, tiny and huge magnitudes in the float formatting
+    snaps = traj.snapshots.copy()
+    snaps[0, :4] = [-0.0, 5e-324, 1.2345678901234567e300, -1 / 3]
+    traj.snapshots = snaps
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    save_trajectory(fast, traj)
+    _save_trajectory_row_loop(ref, traj)
+    assert fast.read_bytes() == ref.read_bytes()
+    back = load_trajectory(ref)
+    np.testing.assert_array_equal(back.snapshots, _load_rows_loop(ref))
+    np.testing.assert_array_equal(back.snapshots, snaps)
+    assert back.seed == seed and back.n_steps == n_steps
 
 
 def test_load_trajectory_rejects_corrupt_files(tmp_path):
