@@ -1,25 +1,22 @@
 """Learning physically consistent Markovian generators for a two-spin
 subsystem of an exactly simulated interacting spin chain."""
 
-from .spin_algebra import (BasisSet, StructureConstants, build_pauli_basis,
-                           basis_for_dimension, compute_structure_constants,
+from .spin_algebra import (BasisSet, build_pauli_basis, basis_for_dimension,
                            rho_to_coherence, coherence_to_matrix,
                            coherence_to_rho, ginibre_density_matrix)
-from .lindblad_generator import (GeneratorParams, DissipatorTensors,
-                                 GeneratorMatrix, SpectralInfo,
+from .lindblad_generator import (GeneratorParams, SpectralInfo,
                                  JumpDecomposition, kossakowski_from_factors,
                                  precompute_dissipator_tensors,
-                                 assemble_generator, assemble_generator_fast,
-                                 generator_superoperator, extract_hamiltonian,
+                                 assemble_generator, generator_superoperator,
+                                 extract_hamiltonian,
                                  propagate, propagate_trajectory,
                                  stationary_state, jump_decomposition,
                                  save_model, load_model)
 from .trainer import (TrainConfig, Dataset, AdamState, TrainResult,
-                      build_dataset, loss, gradient, loss_and_gradient,
+                      build_dataset, loss, loss_and_gradient,
                       adam_step, train, save_loss_curves, save_checkpoint,
                       load_checkpoint)
 from .many_body_sim import (SpinChainModel, Trajectory, CapacityError,
-                            build_hamiltonian_I, build_hamiltonian_II,
                             model_hamiltonian, bath_sites,
                             build_bath_hamiltonian, bath_thermal_state,
                             random_initial_subsystem_state, partial_trace,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict, field, fields, replace
 import numpy as np
 
 from .spin_algebra import build_pauli_basis, coherence_to_matrix
-from .lindblad_generator import (assemble_generator, propagate,
+from .lindblad_generator import (assemble_generator, propagate_trajectory,
                                  stationary_state, extract_hamiltonian,
                                  kossakowski_from_factors, jump_decomposition,
                                  save_model, load_model)
@@ -130,6 +130,13 @@ def load_config(path):
     _check_divides(sim.dt, sim.T_extrapolate, "T_extrapolate")
     if sim.T_extrapolate < sim.T_train:
         raise ConfigError("T_extrapolate must be >= T_train")
+    for name, value, least in (
+            ("training.batch_size", cfg.training.batch_size, 1),
+            ("training.batches_per_epoch", cfg.training.batches_per_epoch, 1),
+            ("training.epochs", cfg.training.epochs, 0),
+            ("metrics.n_initial_conditions", cfg.metrics.n_initial_conditions, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return cfg
 
 
@@ -229,17 +236,6 @@ def cmd_train(cfg, manifest_path, out):
     return model_path
 
 
-def _model_trajectory(L, v0, dt, n_steps):
-    M = propagate(L, dt)
-    out = np.empty((n_steps + 1, v0.size))
-    out[0] = v0
-    v = v0.copy()
-    for k in range(1, n_steps + 1):
-        v = M @ v
-        out[k] = v
-    return out
-
-
 def _window_view(traj, t_lo, t_hi):
     k_lo = int(round(t_lo / traj.dt))
     k_hi = int(round(t_hi / traj.dt))
@@ -247,13 +243,13 @@ def _window_view(traj, t_lo, t_hi):
                       snapshots=traj.snapshots[k_lo:k_hi + 1])
 
 
-def _epsilon_pipeline(cfg, gm, out_dirs=None):
+def _epsilon_pipeline(cfg, L):
     """Stationary-state distance for the config's exact dynamics.
 
     Returns (epsilon, status, info, trajectories or None).  Long windows are
     regenerated at a coarser grid under metrics.max_window_steps.
     """
-    info = stationary_state(gm)
+    info = stationary_state(L)
     if info.no_gap:
         return math.nan, "no_gap", info, None
     if info.non_unique or info.v_st is None:
@@ -276,13 +272,16 @@ def _epsilon_pipeline(cfg, gm, out_dirs=None):
 
 def cmd_eval(cfg, model_path, manifest_path, out):
     """Fidelity report for a learned model against the eval trajectories."""
+    manifest, data_dir = _load_manifest(manifest_path)
+    if not manifest["eval_files"]:
+        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
+                          "set simulation.n_eval_trajectories >= 1")
     dirs = _dirs(cfg, out)
     params, basis, model_dt, _ = load_model(model_path)
-    manifest, data_dir = _load_manifest(manifest_path)
     sim, met = cfg.simulation, cfg.metrics
     if abs(model_dt - sim.dt) > 1e-12:
         raise ConfigError(f"model dt={model_dt} differs from config dt={sim.dt}")
-    gm = assemble_generator(params, basis)
+    L = assemble_generator(params, basis)
 
     notes = {}
     ie_i, ie_e, fv_i, fv_e = [], [], [], []
@@ -290,8 +289,8 @@ def cmd_eval(cfg, model_path, manifest_path, out):
         exact = load_trajectory(os.path.join(data_dir, name))
         t_end = exact.dt * (exact.snapshots.shape[0] - 1)
         pred = Trajectory(model=exact.model, dt=exact.dt,
-                          snapshots=_model_trajectory(
-                              gm.L, exact.snapshots[0], exact.dt,
+                          snapshots=propagate_trajectory(
+                              L, exact.snapshots[0], exact.dt,
                               exact.snapshots.shape[0] - 1))
         _write_timeseries(os.path.join(dirs["report"],
                                        f"timeseries_eval_{idx:03d}.csv"),
@@ -308,7 +307,7 @@ def cmd_eval(cfg, model_path, manifest_path, out):
         else:
             notes["extrapolation"] = "missing data: interpolation-only report"
 
-    eps, eps_status, info, _ = _epsilon_pipeline(cfg, gm)
+    eps, eps_status, info, _ = _epsilon_pipeline(cfg, L)
     report = ErrorReport(
         i_err_interp=float(np.mean(ie_i)),
         i_err_extrap=float(np.mean(ie_e)) if ie_e else math.nan,
@@ -426,8 +425,8 @@ def cmd_stationary(cfg, model_path, out):
     """Stationary-state report plus long-time observable series."""
     dirs = _dirs(cfg, out)
     params, basis, _, _ = load_model(model_path)
-    gm = assemble_generator(params, basis)
-    eps, status, info, trajs = _epsilon_pipeline(cfg, gm)
+    L = assemble_generator(params, basis)
+    eps, status, info, trajs = _epsilon_pipeline(cfg, L)
     report = {
         "e_gap": info.e_gap,
         "tau_over_omega_inv": info.tau,
@@ -452,14 +451,14 @@ def cmd_stationary(cfg, model_path, out):
     if trajs:
         _write_observables(os.path.join(dirs["report"],
                                         "stationary_observables.csv"),
-                           trajs[0], gm, info, basis)
+                           trajs[0], L, info)
     return rpath
 
 
-def _write_observables(path, exact, gm, info, basis):
+def _write_observables(path, exact, L, info):
     """Exact vs learned vs stationary two-spin sigma_z observables."""
     n_steps = exact.snapshots.shape[0] - 1
-    pred = _model_trajectory(gm.L, exact.snapshots[0], exact.dt, n_steps)
+    pred = propagate_trajectory(L, exact.snapshots[0], exact.dt, n_steps)
     comps = {"sz_1": 11, "sz_2": 14, "sz_sz": 10}
     t = exact.dt * np.arange(n_steps + 1)
     cols = ["t_over_omega_inv"]

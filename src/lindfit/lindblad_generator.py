@@ -10,10 +10,15 @@ and the Kossakowski matrix by two real factors, c = (X - iY)^T (X + iY),
 which keeps c positive semidefinite and the map completely positive for any
 parameter values.
 
-Assembly is canonical by direct projection, L_hk = Tr(F_h Gen[F_k]): the
-superoperator is applied to every basis element and projected back.  An
-optional fast path evaluates the same matrix from precomputed structure
-constants; it is validated against the projection entrywise.
+L is linear in omega and in the Kossakowski matrix c, so it is assembled
+through one real linear map G, precomputed once per basis by projecting
+every Hamiltonian and pair superoperator onto the basis,
+L_hk = Tr(F_h Gen[F_k]):
+
+    vec L = G^T (omega, vec Re c, vec Im c).
+
+The gradient with respect to (omega, Re c, Im c) is G vec(dLoss/dL), so
+training and assembly share the same map.
 
 The propagator exp(dt L) is evaluated by a scaled-and-squared truncated
 Taylor series.  The same truncation is shared with the reverse-mode
@@ -23,16 +28,12 @@ actually computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_algebra import (
-    BasisSet,
-    StructureConstants,
-    basis_for_dimension,
-    compute_structure_constants,
-)
+from .spin_algebra import BasisSet, basis_for_dimension
 
 # Relative size at which the Taylor series is truncated.  Two extra terms are
 # appended past the stopping point so the truncation plateau sits well below
@@ -42,63 +43,58 @@ _EXPM_EXTRA_TERMS = 2
 _EXPM_MAX_TERMS = 120
 
 
-@dataclass
 class GeneratorParams:
-    """Real parameters (omega, X, Y) of a generator on a d^2-1 basis."""
+    """Real parameters (omega, X, Y) of a generator on a d^2-1 basis.
 
-    omega: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
+    They are stored as one flat vector theta = (omega, vec X, vec Y), rows
+    of X and Y in order; omega, X and Y are views into theta, so writing
+    through them changes theta.
+    """
+
+    def __init__(self, omega, X, Y):
+        omega = np.asarray(omega, dtype=float)
+        n = omega.shape[0]
+        if np.shape(X) != (n, n) or np.shape(Y) != (n, n):
+            raise ValueError(f"factor shapes {np.shape(X)}, {np.shape(Y)} do not "
+                             f"match {n} Hamiltonian coefficients")
+        self.theta = np.concatenate((omega, np.ravel(X), np.ravel(Y)), dtype=float)
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray) -> "GeneratorParams":
+        """Wrap a flat vector of n + 2n^2 parameters without copying it."""
+        params = cls.__new__(cls)
+        params.theta = theta
+        return params
 
     @classmethod
     def random(cls, n: int, scale: float, rng: np.random.Generator) -> "GeneratorParams":
-        return cls(omega=scale * rng.standard_normal(n),
-                   X=scale * rng.standard_normal((n, n)),
-                   Y=scale * rng.standard_normal((n, n)))
+        return cls.from_theta(scale * rng.standard_normal(n + 2 * n * n))
 
     @classmethod
     def zeros(cls, n: int) -> "GeneratorParams":
-        return cls(omega=np.zeros(n), X=np.zeros((n, n)), Y=np.zeros((n, n)))
+        return cls.from_theta(np.zeros(n + 2 * n * n))
 
     def copy(self) -> "GeneratorParams":
-        return GeneratorParams(self.omega.copy(), self.X.copy(), self.Y.copy())
+        return GeneratorParams.from_theta(self.theta.copy())
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        # theta holds n + 2n^2 entries
+        return (math.isqrt(8 * self.theta.size + 1) - 1) // 4
 
+    @property
+    def omega(self) -> np.ndarray:
+        return self.theta[:self.n]
 
-@dataclass(frozen=True)
-class DissipatorTensors:
-    """Precomputed projections of the generator onto a fixed basis.
+    @property
+    def X(self) -> np.ndarray:
+        n = self.n
+        return self.theta[n:n + n * n].reshape(n, n)
 
-    a_sym[i, j] (i <= j) and b_antisym[i, j] (i < j) are real d^2 x d^2
-    matrices such that
-
-        D_part = sum_{i<=j} Re(c)_ij a_sym[i, j]
-               + sum_{i<j}  Im(c)_ij b_antisym[i, j];
-
-    entries below the diagonal are zero.  h_base[k] is the projection of
-    rho -> -i[F_k, rho], so H_part = sum_k omega_k h_base[k].
-    """
-
-    a_sym: np.ndarray
-    b_antisym: np.ndarray
-    h_base: np.ndarray
-
-    def __post_init__(self):
-        self.a_sym.setflags(write=False)
-        self.b_antisym.setflags(write=False)
-        self.h_base.setflags(write=False)
-
-
-@dataclass
-class GeneratorMatrix:
-    """Assembled real generator; L = H_part + D_part, last row zero."""
-
-    L: np.ndarray
-    H_part: np.ndarray
-    D_part: np.ndarray
+    @property
+    def Y(self) -> np.ndarray:
+        n = self.n
+        return self.theta[n + n * n:].reshape(n, n)
 
 
 @dataclass
@@ -182,10 +178,17 @@ def generator_superoperator(H: np.ndarray, c: np.ndarray, basis: BasisSet) -> np
 _TENSOR_CACHE: dict = {}
 
 
-def precompute_dissipator_tensors(basis: BasisSet) -> DissipatorTensors:
-    """Project every pair superoperator onto the basis, once per basis.
+def precompute_dissipator_tensors(basis: BasisSet) -> np.ndarray:
+    """The assembly map G of a basis, once per basis; read-only.
 
-    Imaginary leftovers beyond rounding indicate a broken basis and raise.
+    G has shape (n + 2n^2, d^4) for n = d^2 - 1.  Its rows are the flattened
+    projections of rho -> -i[F_k, rho], then the real parts and then minus
+    the imaginary parts of the pair superoperators (i, j) in row-major order,
+    so that L = (omega, vec Re c, vec Im c) @ G reshaped to d^2 x d^2.  The
+    trace row of L vanishes analytically; its columns of G are zeroed
+    exactly, so assembled generators keep the last coherence component
+    pinned.  Imaginary leftovers of the Hamiltonian projections beyond
+    rounding indicate a broken basis and raise.
     """
     key = (basis.convention_id, basis.d)
     hit = _TENSOR_CACHE.get(key)
@@ -195,97 +198,38 @@ def precompute_dissipator_tensors(basis: BasisSet) -> DissipatorTensors:
     F = basis.elements
     phi = _basis_frame(basis)
     phi_h = phi.conj().T
+    h = np.stack([phi_h @ _hamiltonian_superop(F[k]) @ phi for k in range(n)])
+    if np.abs(h.imag).max() > 1e-12:
+        raise ValueError("Hamiltonian projection is not real")
+    pairs = np.stack([phi_h @ _pair_superop(F[i], F[j]) @ phi
+                      for i in range(n) for j in range(n)])
+    G = np.concatenate((h.real, pairs.real, -pairs.imag)).reshape(-1, d2 * d2)
+    G[:, (d2 - 1) * d2:] = 0.0
+    G.setflags(write=False)
+    _TENSOR_CACHE[key] = G
+    return G
 
-    h_base = np.empty((n, d2, d2))
-    for k in range(n):
-        proj = phi_h @ _hamiltonian_superop(F[k]) @ phi
-        if np.abs(proj.imag).max() > 1e-12:
-            raise ValueError("Hamiltonian projection is not real")
-        h_base[k] = proj.real
 
-    a_full = np.empty((n, n, d2, d2))
-    b_full = np.empty((n, n, d2, d2))
-    for i in range(n):
-        for j in range(n):
-            proj = phi_h @ _pair_superop(F[i], F[j]) @ phi
-            a_full[i, j] = proj.real
-            b_full[i, j] = -proj.imag
-
-    a_sym = np.zeros_like(a_full)
-    b_antisym = np.zeros_like(b_full)
-    for i in range(n):
-        a_sym[i, i] = a_full[i, i]
-        for j in range(i + 1, n):
-            a_sym[i, j] = a_full[i, j] + a_full[j, i]
-            b_antisym[i, j] = b_full[i, j] - b_full[j, i]
-
-    # the trace row vanishes analytically; zero it exactly so assembled
-    # generators keep the last coherence component pinned
-    h_base[:, -1, :] = 0.0
-    a_sym[:, :, -1, :] = 0.0
-    b_antisym[:, :, -1, :] = 0.0
-
-    tensors = DissipatorTensors(a_sym=a_sym, b_antisym=b_antisym, h_base=h_base)
-    _TENSOR_CACHE[key] = tensors
-    return tensors
+def _generator(params: GeneratorParams, tensors: np.ndarray) -> np.ndarray:
+    """L from (omega, X, Y) through the assembly map; see assemble_generator."""
+    c = kossakowski_from_factors(params.X, params.Y)
+    coeffs = np.concatenate((params.omega, c.real.ravel(), c.imag.ravel()))
+    return (coeffs @ tensors).reshape(params.n + 1, params.n + 1)
 
 
 def assemble_generator(params: GeneratorParams, basis: BasisSet,
-                       tensors: DissipatorTensors | None = None) -> GeneratorMatrix:
-    """Assemble the real generator matrix from (omega, X, Y).
+                       tensors: np.ndarray | None = None) -> np.ndarray:
+    """Assemble the real d^2 x d^2 generator matrix L from (omega, X, Y).
 
-    H_part is the projection of -i[H, .]; D_part contracts the Kossakowski
-    matrix with the precomputed pair projections.  The last row of both
-    parts vanishes because the generator is trace annihilating.
+    L is the projection of -i[H, .] plus the dissipator of the Kossakowski
+    matrix c = (X - iY)^T (X + iY); its last row vanishes because the
+    generator is trace annihilating.
     """
     if params.n != basis.n:
         raise ValueError(f"parameter count {params.n} does not match basis ({basis.n})")
     if tensors is None:
         tensors = precompute_dissipator_tensors(basis)
-    c = kossakowski_from_factors(params.X, params.Y)
-    h_part = np.tensordot(params.omega, tensors.h_base, axes=(0, 0))
-    d_part = (np.tensordot(c.real, tensors.a_sym, axes=([0, 1], [0, 1]))
-              + np.tensordot(c.imag, tensors.b_antisym, axes=([0, 1], [0, 1])))
-    return GeneratorMatrix(L=h_part + d_part, H_part=h_part, D_part=d_part)
-
-
-def assemble_generator_fast(params: GeneratorParams, basis: BasisSet,
-                            constants: StructureConstants | None = None) -> GeneratorMatrix:
-    """Structure-constant evaluation of the same generator matrix.
-
-    Uses the self-consistent tensors of compute_structure_constants:
-
-        H_mn = -sum_k f_mnk omega_k
-        D_mn = Re(c)_nm/d - tr(Re c) delta_mn/d
-             + (1/4) sum_ijk [ Re(c)_ij (d_ink d_jmk - f_ink f_jmk)
-                             - Im(c)_ij (d_ink f_jmk + f_ink d_jmk) ]
-             - (1/4) sum_k s_k d_mnk,
-          s_k = sum_ij (Re(c)_ij d_ijk + Im(c)_ij f_ijk)
-        D_m,d^2 = (1/sqrt(d)) sum_ij f_imj Im(c)_ij
-
-    and the last row is zero.  Agrees with assemble_generator entrywise.
-    """
-    if constants is None:
-        constants = compute_structure_constants(basis)
-    n, d = basis.n, basis.d
-    f, ds = constants.f, constants.d_sym
-    c = kossakowski_from_factors(params.X, params.Y)
-    R, I = c.real, c.imag
-
-    h_part = np.zeros((d * d, d * d))
-    h_part[:n, :n] = -np.einsum("mnk,k->mn", f, params.omega)
-
-    fd = np.einsum("ink,jmk->ijnm", ds, ds) - np.einsum("ink,jmk->ijnm", f, f)
-    cross = np.einsum("ink,jmk->ijnm", ds, f) + np.einsum("ink,jmk->ijnm", f, ds)
-    s = np.einsum("ij,ijk->k", R, ds) + np.einsum("ij,ijk->k", I, f)
-    d_block = (R.T / d - np.trace(R) * np.eye(n) / d
-               + 0.25 * (np.einsum("ij,ijnm->mn", R, fd)
-                         - np.einsum("ij,ijnm->mn", I, cross))
-               - 0.25 * np.einsum("k,mnk->mn", s, ds))
-    d_part = np.zeros((d * d, d * d))
-    d_part[:n, :n] = d_block
-    d_part[:n, -1] = np.einsum("imj,ij->m", f, I) / np.sqrt(d)
-    return GeneratorMatrix(L=h_part + d_part, H_part=h_part, D_part=d_part)
+    return _generator(params, tensors)
 
 
 def extract_hamiltonian(params: GeneratorParams, basis: BasisSet) -> np.ndarray:
@@ -387,14 +331,14 @@ def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int)
     return out
 
 
-def stationary_state(gen, zero_tol: float = 1e-10) -> SpectralInfo:
+def stationary_state(L: np.ndarray, zero_tol: float = 1e-10) -> SpectralInfo:
     """Eigen-analysis of the generator: stationary vector, gap, timescale.
 
     Eigenvalues with modulus below zero_tol count as stationary; the gap is
     the smallest |Re| among the rest.  Degenerate stationary subspaces set
     non_unique; a vanishing gap sets no_gap and leaves tau undefined.
     """
-    L = gen.L if isinstance(gen, GeneratorMatrix) else np.asarray(gen, dtype=float)
+    L = np.asarray(L, dtype=float)
     d2 = L.shape[0]
     d = int(round(np.sqrt(d2)))
     w = np.linalg.eigvals(L)
@@ -457,8 +401,7 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
     import json
 
     c = kossakowski_from_factors(params.X, params.Y)
-    L = assemble_generator(params, basis).L
-    w = np.linalg.eigvals(L)
+    w = np.linalg.eigvals(assemble_generator(params, basis))
     payload = {
         "format": "lindfit-model-v1",
         "convention_id": basis.convention_id,

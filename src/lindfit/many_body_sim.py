@@ -123,25 +123,8 @@ def _model_terms(model):
     return fields, bonds
 
 
-def build_hamiltonian_I(n_sites, omega, V, V_prime):
-    """Ring Hamiltonian: transverse field, bath bonds V, boundary bonds V_prime."""
-    if n_sites < 4:
-        raise ValueError("variant I needs n_sites >= 4")
-    m = SpinChainModel("I", n_sites, omega, V, V_prime=V_prime)
-    return _assemble(n_sites, *_model_terms(m))
-
-
-def build_hamiltonian_II(n_sites, omega, V, alpha):
-    """Open-chain Hamiltonian with power-law n_i n_j couplings."""
-    if n_sites < 2:
-        raise ValueError("need at least two sites")
-    fields = [(s, omega / 2.0) for s in range(1, n_sites + 1)]
-    bonds = [(i, j, V / abs(i - j) ** alpha)
-             for i in range(1, n_sites + 1) for j in range(i + 1, n_sites + 1)]
-    return _assemble(n_sites, fields, bonds)
-
-
 def model_hamiltonian(model):
+    """Dense chain Hamiltonian of a SpinChainModel (real symmetric)."""
     return _assemble(model.n_sites, *_model_terms(model))
 
 
@@ -384,6 +367,10 @@ def load_trajectory(path):
         meta[key] = val
     else:
         raise ValueError(f"{path}: no snapshot table found")
+    convention = _basis2().convention_id
+    if meta.get("convention_id") != convention:
+        raise ValueError(f"{path}: trajectory uses basis convention "
+                         f"{meta.get('convention_id')!r}, expected {convention!r}")
     model = SpinChainModel(
         variant=meta["variant"], n_sites=int(meta["n_sites"]),
         omega=float(meta["omega"]), V=float(meta["V"]),

@@ -1,4 +1,4 @@
-"""Hermitian operator bases, structure constants, and coherence-vector maps.
+"""Hermitian operator bases and coherence-vector maps.
 
 States of a d-dimensional subsystem are represented by real coherence
 vectors over an orthonormal Hermitian basis {F_1, ..., F_{d^2}} with
@@ -50,24 +50,6 @@ class BasisSet:
         return self.d ** 2 - 1
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Antisymmetric f and symmetric d tensors of a traceless basis.
-
-    Convention: [F_i, F_j] = i sum_k f_ijk F_k with
-    f_ijk = -i Tr([F_i, F_j] F_k), and
-    {F_i, F_j} = (2 delta_ij / d) 1 + sum_k d_ijk F_k with
-    d_ijk = Tr({F_i, F_j} F_k).
-    """
-
-    f: np.ndarray
-    d_sym: np.ndarray
-
-    def __post_init__(self):
-        self.f.setflags(write=False)
-        self.d_sym.setflags(write=False)
-
-
 def build_pauli_basis(num_spins: int) -> BasisSet:
     """Build the tensor-product Pauli basis for a register of qubits.
 
@@ -113,24 +95,6 @@ def basis_for_dimension(d: int) -> BasisSet:
     if 2 ** num_spins != d:
         raise ValueError(f"dimension {d} is not a power of two")
     return build_pauli_basis(num_spins)
-
-
-def compute_structure_constants(basis: BasisSet) -> StructureConstants:
-    """Compute f and d tensors of the traceless part of a basis.
-
-    Both tensors are real for a Hermitian orthonormal basis; f is fully
-    antisymmetric and d fully symmetric.
-    """
-    n = basis.n
-    F = basis.elements[:n]
-    # T[a, b, c] = Tr(F_a F_b F_c)
-    T = np.einsum("aij,bjk,cki->abc", F, F, F, optimize=True)
-    f = -1.0j * (T - T.transpose(1, 0, 2))
-    d_sym = T + T.transpose(1, 0, 2)
-    if max(np.abs(f.imag).max(), np.abs(d_sym.imag).max()) > 1e-13:
-        raise ValueError("structure constants came out complex; basis is not Hermitian")
-    return StructureConstants(f=np.ascontiguousarray(f.real),
-                              d_sym=np.ascontiguousarray(d_sym.real))
 
 
 def rho_to_coherence(rho: np.ndarray, basis: BasisSet) -> np.ndarray:

@@ -3,9 +3,10 @@
 Training matches the learned propagator M = exp(dt L) to consecutive
 snapshot pairs: loss = mean over the batch of ||M v_in - v_out||^2.
 Gradients are exact reverse-mode derivatives through the Kossakowski
-factors, the assembly contraction, and the same truncated Taylor series
-the forward pass uses.  Optimization is plain Adam with fixed
-hyperparameters; batches are drawn uniformly with replacement.
+factors, the assembly map, and the same truncated Taylor series the
+forward pass uses.  Optimization is plain Adam on the flat parameter
+vector with fixed hyperparameters; batches are drawn uniformly with
+replacement.
 
 Trajectories are split into training and validation sets as whole
 trajectories, never snapshot-wise, so validation measures generalization
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lindblad_generator import (
-    DissipatorTensors,
     GeneratorParams,
-    kossakowski_from_factors,
+    _generator,
     precompute_dissipator_tensors,
+    propagate,
     propagate_backward,
     propagate_with_cache,
 )
@@ -129,61 +130,51 @@ def build_dataset(trajectories, split_fraction: float = 0.8,
 
 
 def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
-                      dt: float, tensors: DissipatorTensors):
-    """Batch loss and its exact gradient with respect to (omega, X, Y)."""
+                      dt: float, tensors: np.ndarray):
+    """Batch loss and its exact gradient with respect to (omega, X, Y).
+
+    tensors is the assembly map G of precompute_dissipator_tensors; G times
+    dLoss/dL gives the gradient with respect to (omega, Re c, Im c).
+    """
     B = v_in.shape[1]
-    c = kossakowski_from_factors(params.X, params.Y)
-    h_part = np.tensordot(params.omega, tensors.h_base, axes=(0, 0))
-    d_part = (np.tensordot(c.real, tensors.a_sym, axes=([0, 1], [0, 1]))
-              + np.tensordot(c.imag, tensors.b_antisym, axes=([0, 1], [0, 1])))
-    M, cache = propagate_with_cache(h_part + d_part, dt)
+    M, cache = propagate_with_cache(_generator(params, tensors), dt)
     resid = M @ v_in - v_out
     loss = float((resid * resid).sum() / B)
 
-    M_bar = (2.0 / B) * (resid @ v_in.T)
-    L_bar = propagate_backward(cache, M_bar, dt)
-    omega_g = np.tensordot(tensors.h_base, L_bar, axes=([1, 2], [0, 1]))
-    r_bar = np.tensordot(tensors.a_sym, L_bar, axes=([2, 3], [0, 1]))
-    i_bar = np.tensordot(tensors.b_antisym, L_bar, axes=([2, 3], [0, 1]))
+    L_bar = propagate_backward(cache, (2.0 / B) * (resid @ v_in.T), dt)
+    n = params.n
+    g = tensors @ L_bar.ravel()
+    r_bar = g[n:n + n * n].reshape(n, n)
+    i_bar = g[n + n * n:].reshape(n, n)
     sym = r_bar + r_bar.T
-    X_g = params.X @ sym + params.Y @ (i_bar.T - i_bar)
-    Y_g = params.Y @ sym + params.X @ (i_bar - i_bar.T)
-    return loss, GeneratorParams(omega=omega_g, X=X_g, Y=Y_g)
+    anti = i_bar - i_bar.T
+    X, Y = params.X, params.Y
+    return loss, GeneratorParams(g[:n], X @ sym - Y @ anti, Y @ sym + X @ anti)
 
 
 def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
-         dt: float, tensors: DissipatorTensors) -> float:
+         dt: float, tensors: np.ndarray) -> float:
     """Forward-only batch loss (empty batches score 0)."""
     B = v_in.shape[1]
     if B == 0:
         return 0.0
-    value, _ = loss_and_gradient(params, v_in, v_out, dt, tensors)
-    return value
-
-
-def gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
-             dt: float, tensors: DissipatorTensors) -> GeneratorParams:
-    _, g = loss_and_gradient(params, v_in, v_out, dt, tensors)
-    return g
+    resid = propagate(_generator(params, tensors), dt) @ v_in - v_out
+    return float((resid * resid).sum() / B)
 
 
 def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
               config: TrainConfig):
-    """One bias-corrected Adam update; returns fresh (state, params)."""
+    """One bias-corrected Adam update of theta; returns fresh (state, params)."""
     t = state.step + 1
     b1, b2 = config.beta1, config.beta2
-    new_m, new_v, new_p = {}, {}, {}
-    for leaf in ("omega", "X", "Y"):
-        g = getattr(grads, leaf)
-        m = b1 * getattr(state.m, leaf) + (1.0 - b1) * g
-        v = b2 * getattr(state.v, leaf) + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        new_m[leaf] = m
-        new_v[leaf] = v
-        new_p[leaf] = getattr(params, leaf) - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return (AdamState(m=GeneratorParams(**new_m), v=GeneratorParams(**new_v), step=t),
-            GeneratorParams(**new_p))
+    g = grads.theta
+    m = b1 * state.m.theta + (1.0 - b1) * g
+    v = b2 * state.v.theta + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    theta = params.theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return (AdamState(m=GeneratorParams.from_theta(m), v=GeneratorParams.from_theta(v), step=t),
+            GeneratorParams.from_theta(theta))
 
 
 def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
@@ -242,6 +233,15 @@ def save_loss_curves(path, train_history, val_history) -> None:
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
 
 
+def _leaves(params: GeneratorParams) -> dict:
+    return {"omega": params.omega.tolist(), "X": params.X.tolist(),
+            "Y": params.Y.tolist()}
+
+
+def _from_leaves(leaves: dict) -> GeneratorParams:
+    return GeneratorParams(**{k: np.array(v, dtype=float) for k, v in leaves.items()})
+
+
 def save_checkpoint(path, params: GeneratorParams, state: AdamState,
                     train_history, val_history, dt: float, convention_id: str) -> None:
     """Everything needed to resume or audit a run, as JSON."""
@@ -251,12 +251,8 @@ def save_checkpoint(path, params: GeneratorParams, state: AdamState,
         "format": "lindfit-checkpoint-v1",
         "convention_id": convention_id,
         "dt": dt,
-        "params": {leaf: getattr(params, leaf).tolist() for leaf in ("omega", "X", "Y")},
-        "adam": {
-            "step": state.step,
-            "m": {leaf: getattr(state.m, leaf).tolist() for leaf in ("omega", "X", "Y")},
-            "v": {leaf: getattr(state.v, leaf).tolist() for leaf in ("omega", "X", "Y")},
-        },
+        "params": _leaves(params),
+        "adam": {"step": state.step, "m": _leaves(state.m), "v": _leaves(state.v)},
         "train_history": list(map(float, train_history)),
         "val_history": [float(x) for x in val_history],
     }
@@ -272,11 +268,7 @@ def load_checkpoint(path):
         payload = json.load(fh)
     if payload.get("format") != "lindfit-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
-    params = GeneratorParams(**{k: np.array(v, dtype=float)
-                                for k, v in payload["params"].items()})
     adam = payload["adam"]
-    state = AdamState(
-        m=GeneratorParams(**{k: np.array(v, dtype=float) for k, v in adam["m"].items()}),
-        v=GeneratorParams(**{k: np.array(v, dtype=float) for k, v in adam["v"].items()}),
-        step=int(adam["step"]))
-    return params, state, payload
+    state = AdamState(m=_from_leaves(adam["m"]), v=_from_leaves(adam["v"]),
+                      step=int(adam["step"]))
+    return _from_leaves(payload["params"]), state, payload

@@ -18,8 +18,8 @@ from lindfit.cli import derive_seed, reference_two_spin_hamiltonian
 from lindfit.lindblad_generator import (
     GeneratorParams,
     assemble_generator,
-    assemble_generator_fast,
     extract_hamiltonian,
+    generator_superoperator,
     jump_decomposition,
     kossakowski_from_factors,
     precompute_dissipator_tensors,
@@ -33,11 +33,10 @@ from lindfit.spin_algebra import (
     basis_for_dimension,
     build_pauli_basis,
     coherence_to_matrix,
-    compute_structure_constants,
     ginibre_density_matrix,
     rho_to_coherence,
 )
-from lindfit.trainer import TrainConfig, build_dataset, gradient, loss, train
+from lindfit.trainer import TrainConfig, build_dataset, loss, loss_and_gradient, train
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +83,8 @@ def _synthetic_generator():
 def synthetic_truth():
     params, basis = _synthetic_generator()
     tensors = precompute_dissipator_tensors(basis)
-    gm = assemble_generator(params, basis, tensors)
     return SimpleNamespace(params=params, basis=basis, tensors=tensors,
-                           L=gm.L)
+                           L=assemble_generator(params, basis, tensors))
 
 
 @pytest.fixture(scope="session")
@@ -130,7 +128,7 @@ def _run_cell(model):
     result = train(TrainConfig(epochs=100, init_scale=0.05, seed=0), dataset)
 
     basis = build_pauli_basis(2)
-    L = assemble_generator(result.params, basis).L
+    L = assemble_generator(result.params, basis)
     ii, ie, fi, fe = [], [], [], []
     for tr in eval_trajs:
         pred = SimpleNamespace(
@@ -190,7 +188,7 @@ def test_criterion_01_propagation_stays_physical():
     worst_eig, worst_pin = np.inf, 0.0
     for _ in range(200):
         params = GeneratorParams.random(basis.n, 0.5, rng)
-        L = assemble_generator(params, basis, tensors).L
+        L = assemble_generator(params, basis, tensors)
         for t in (0.1, 1.0, 10.0):
             out = propagate(L, t) @ vs
             eigs = np.linalg.eigvalsh(coherence_to_matrix(out.T, basis))
@@ -204,18 +202,28 @@ def test_criterion_01_propagation_stays_physical():
 
 
 def test_criterion_02_fast_assembly_equals_projection():
+    # The assembly map against the projection Phi^H S Phi of the dense
+    # reference superoperator S, trace row zeroed: the whole generator, and
+    # its Hamiltonian part (omega, 0, 0) and dissipator (0, X, Y) on their own.
     rng = default_rng(7)
     t0 = time.perf_counter()
     for d in (2, 4):
         basis = basis_for_dimension(d)
-        constants = compute_structure_constants(basis)
         tensors = precompute_dissipator_tensors(basis)
+        phi = np.stack([F.reshape(-1, order="F") for F in basis.elements], axis=1)
+        zero = np.zeros((basis.n, basis.n))
         for _ in range(50):
             params = GeneratorParams.random(basis.n, 0.7, rng)
-            direct = assemble_generator(params, basis, tensors)
-            fast = assemble_generator_fast(params, basis, constants)
-            for part in ("L", "H_part", "D_part"):
-                diff = np.abs(getattr(direct, part) - getattr(fast, part))
+            parts = {"L": params,
+                     "H_part": GeneratorParams(params.omega, zero, zero),
+                     "D_part": GeneratorParams(np.zeros(basis.n), params.X, params.Y)}
+            for part, p in parts.items():
+                S = generator_superoperator(extract_hamiltonian(p, basis),
+                                            kossakowski_from_factors(p.X, p.Y),
+                                            basis)
+                projection = phi.conj().T @ S @ phi
+                projection[-1] = 0.0
+                diff = np.abs(assemble_generator(p, basis, tensors) - projection)
                 assert diff.max() <= 1e-12, \
                     f"d={d} {part} differs by {diff.max():.3e}"
     elapsed = time.perf_counter() - t0
@@ -237,7 +245,7 @@ def test_criterion_03_gradient_matches_finite_differences():
     worst, graded = 0.0, 0
     for _ in range(20):
         params = GeneratorParams.random(basis.n, 0.5, rng)
-        g = gradient(params, v_in, v_out, dt, tensors)
+        g = loss_and_gradient(params, v_in, v_out, dt, tensors)[1]
         g_scale = max(np.abs(g.omega).max(), np.abs(g.X).max(),
                       np.abs(g.Y).max())
         if g_scale <= 1e-8:
@@ -269,7 +277,7 @@ def test_criterion_04_dephasing_qubit_matches_dense_integration():
     X = np.zeros((basis.n, basis.n))
     X[2, 2] = np.sqrt(gamma)      # pure sigma_z dephasing
     L = assemble_generator(GeneratorParams(omega=om, X=X, Y=np.zeros_like(X)),
-                           basis).L
+                           basis)
 
     # independent reference: integrate the density matrix itself
     H = omega / 2.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -313,7 +321,7 @@ def test_criterion_05_round_trip_recovers_known_generator(synthetic_truth,
     dt = synthetic_fit.dt
     M_true = propagate(synthetic_truth.L, dt)
     L_fit = assemble_generator(synthetic_fit.result.params, basis,
-                               synthetic_truth.tensors).L
+                               synthetic_truth.tensors)
     dev = np.abs(propagate(L_fit, dt) - M_true).max()
     final_loss = synthetic_fit.result.train_history[-1]
     assert dev < 1e-5, f"propagator deviates by {dev:.3e}"

@@ -157,7 +157,7 @@ def _synthetic_eval_setup(tmp_path, n_eval_steps):
     os.makedirs(os.path.join(out, "models"), exist_ok=True)
     basis = build_pauli_basis(2)
     params = _stable_two_spin_params()
-    L = assemble_generator(params, basis).L
+    L = assemble_generator(params, basis)
     model_path = os.path.join(out, "models", "model.json")
     save_model(model_path, params, basis, cfg.simulation.dt)
     rng = np.random.default_rng(88)
@@ -327,6 +327,29 @@ def test_main_capacity_error(tmp_path, capsys):
     assert rc == 1
     err = json.loads(captured.err.strip())
     assert err["error"] == "CapacityError"
+
+
+@pytest.mark.parametrize("overrides,commands", [
+    ({"training": {"batch_size": 0}}, ["train"]),
+    ({"training": {"batches_per_epoch": 0}}, ["train"]),
+    ({"training": {"epochs": -3}}, ["train"]),
+    ({"metrics": {"n_initial_conditions": 0}}, ["stationary"]),
+    ({"simulation": {"n_eval_trajectories": 0}}, ["gen-data", "eval"]),
+], ids=["batch_size", "batches_per_epoch", "epochs", "n_initial_conditions",
+        "no_eval_files"])
+def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
+    cfg_path = _write_config(tmp_path, overrides)
+    out = str(tmp_path / "run")
+    for cmd in commands[:-1]:
+        assert main(["--config", cfg_path, "--out", out, cmd]) == 0
+    capsys.readouterr()
+    rc = main(["--config", cfg_path, "--out", out, commands[-1]])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
 
 
 def test_main_seed_override_changes_data(tmp_path):

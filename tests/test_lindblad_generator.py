@@ -1,9 +1,8 @@
 """Generator assembly, propagation, spectra, and jump decompositions.
 
-The assembly tests use a deliberately naive trace-projection oracle built
-from explicit python loops so the two production routes (vectorized
-projection and structure constants) are checked against a third,
-independent evaluation.
+The assembly tests check the single production route (the precomputed
+assembly map) against a deliberately naive trace-projection oracle built
+from explicit python loops, and against the dense reference superoperator.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ import scipy.linalg
 from lindfit.lindblad_generator import (
     GeneratorParams,
     assemble_generator,
-    assemble_generator_fast,
     extract_hamiltonian,
     generator_superoperator,
     jump_decomposition,
@@ -67,23 +65,9 @@ def test_assembly_matches_loop_oracle(num_spins, draws):
     rng = np.random.default_rng(100 + num_spins)
     for _ in range(draws):
         params = GeneratorParams.random(basis.n, 0.4, rng)
-        gen = assemble_generator(params, basis, tensors)
+        L = assemble_generator(params, basis, tensors)
         oracle = _oracle_generator(params, basis)
-        assert np.abs(gen.L - oracle).max() < 1e-11
-
-
-@pytest.mark.parametrize("num_spins", [1, 2])
-def test_fast_path_equals_projection(num_spins):
-    basis = build_pauli_basis(num_spins)
-    tensors = precompute_dissipator_tensors(basis)
-    rng = np.random.default_rng(7 * num_spins)
-    for _ in range(6):
-        params = GeneratorParams.random(basis.n, 0.5, rng)
-        a = assemble_generator(params, basis, tensors)
-        b = assemble_generator_fast(params, basis)
-        assert np.abs(a.L - b.L).max() < 1e-12
-        assert np.abs(a.H_part - b.H_part).max() < 1e-12
-        assert np.abs(a.D_part - b.D_part).max() < 1e-12
+        assert np.abs(L - oracle).max() < 1e-11
 
 
 def test_generator_superoperator_consistent(basis2, rng):
@@ -92,22 +76,27 @@ def test_generator_superoperator_consistent(basis2, rng):
     H = extract_hamiltonian(params, basis2)
     c = kossakowski_from_factors(params.X, params.Y)
     S = generator_superoperator(H, c, basis2)
-    gen = assemble_generator(params, basis2)
+    L = assemble_generator(params, basis2)
     F = basis2.elements
     for k in range(16):
         image = (S @ F[k].reshape(-1, order="F")).reshape(4, 4, order="F")
         col = np.einsum("mij,ji->m", F, image)
-        target = gen.L[:, k].copy()
+        target = L[:, k].copy()
         target[-1] = 0.0
         np.testing.assert_allclose(col.real, target, atol=1e-11)
 
 
 def test_last_row_zero_and_parts(basis2, rng):
+    # L is the Hamiltonian part L(omega, 0, 0) plus the dissipator L(0, X, Y)
+    zero = np.zeros((basis2.n, basis2.n))
     for _ in range(5):
         params = GeneratorParams.random(basis2.n, 0.8, rng)
-        gen = assemble_generator(params, basis2)
-        assert np.abs(gen.L[-1]).max() == 0.0
-        np.testing.assert_allclose(gen.L, gen.H_part + gen.D_part, atol=1e-14)
+        L = assemble_generator(params, basis2)
+        assert np.abs(L[-1]).max() == 0.0
+        h_part = assemble_generator(GeneratorParams(params.omega, zero, zero), basis2)
+        d_part = assemble_generator(
+            GeneratorParams(np.zeros(basis2.n), params.X, params.Y), basis2)
+        np.testing.assert_allclose(L, h_part + d_part, atol=1e-14)
 
 
 def test_parameter_count_mismatch(basis2):
@@ -131,8 +120,8 @@ def test_gauge_invariance(basis2, rng):
     params = GeneratorParams.random(basis2.n, 0.5, rng)
     q, _ = np.linalg.qr(rng.standard_normal((15, 15)))
     rotated = GeneratorParams(params.omega.copy(), q @ params.X, q @ params.Y)
-    a = assemble_generator(params, basis2).L
-    b = assemble_generator(rotated, basis2).L
+    a = assemble_generator(params, basis2)
+    b = assemble_generator(rotated, basis2)
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -148,7 +137,7 @@ def test_extract_hamiltonian(basis2, rng):
 def test_propagate_against_scipy(basis2, rng):
     for _ in range(6):
         params = GeneratorParams.random(basis2.n, 0.6, rng)
-        L = assemble_generator(params, basis2).L
+        L = assemble_generator(params, basis2)
         for dt in (0.01, 0.3, 2.5):
             M = propagate(L, dt)
             ref = scipy.linalg.expm(L * dt)
@@ -159,7 +148,7 @@ def test_propagate_identity_cases(basis2):
     L = np.zeros((16, 16))
     np.testing.assert_allclose(propagate(L, 1.7), np.eye(16), atol=1e-15)
     params = GeneratorParams.random(basis2.n, 0.5, np.random.default_rng(3))
-    L = assemble_generator(params, basis2).L
+    L = assemble_generator(params, basis2)
     np.testing.assert_allclose(propagate(L, 0.0), np.eye(16), atol=1e-15)
 
 
@@ -182,7 +171,7 @@ def test_propagate_stiff_matrix(rng):
 def test_propagate_backward_matches_fd(basis2):
     rng = np.random.default_rng(42)
     params = GeneratorParams.random(basis2.n, 0.4, rng)
-    L = assemble_generator(params, basis2).L
+    L = assemble_generator(params, basis2)
     W = rng.standard_normal((16, 16))
     dt = 0.37
 
@@ -201,7 +190,7 @@ def test_propagate_backward_matches_fd(basis2):
 
 def test_propagate_trajectory_shape_and_pin(basis2, rng):
     params = GeneratorParams.random(basis2.n, 0.3, rng)
-    L = assemble_generator(params, basis2).L
+    L = assemble_generator(params, basis2)
     rho0 = ginibre_density_matrix(4, rng)
     v0 = rho_to_coherence(rho0, basis2)
     snaps = propagate_trajectory(L, v0, 0.05, 40)
@@ -218,7 +207,7 @@ def test_contractivity_sampled(basis2):
     rng = np.random.default_rng(77)
     for _ in range(20):
         params = GeneratorParams.random(basis2.n, 0.5, rng)
-        L = assemble_generator(params, basis2).L
+        L = assemble_generator(params, basis2)
         w = np.linalg.eigvals(L)
         assert w.real.max() < 1e-10
 
@@ -226,15 +215,15 @@ def test_contractivity_sampled(basis2):
 def test_stationary_dephasing():
     params = _dephasing_params(1.0, 0.2)
     basis = build_pauli_basis(1)
-    gen = assemble_generator(params, basis)
-    info = stationary_state(gen)
+    L = assemble_generator(params, basis)
+    info = stationary_state(L)
     assert not info.non_unique and not info.no_gap
     np.testing.assert_allclose(info.v_st, [0, 0, 0, 1 / np.sqrt(2)], atol=1e-10)
     # modes: -gamma and the rotated pair with real part -gamma/2
     assert abs(info.e_gap - 0.1) < 1e-10
     assert abs(info.tau - 10.0) < 1e-8
     # the stationary vector really is a kernel vector
-    assert np.abs(gen.L @ info.v_st).max() < 1e-12
+    assert np.abs(L @ info.v_st).max() < 1e-12
 
 
 def test_stationary_zero_generator():
@@ -254,11 +243,11 @@ def test_stationary_random_kernel_residual(basis2):
     rng = np.random.default_rng(5150)
     for _ in range(10):
         params = GeneratorParams.random(basis2.n, 0.5, rng)
-        gen = assemble_generator(params, basis2)
-        info = stationary_state(gen)
+        L = assemble_generator(params, basis2)
+        info = stationary_state(L)
         if info.v_st is None:
             continue
-        assert np.abs(gen.L @ info.v_st).max() < 1e-10
+        assert np.abs(L @ info.v_st).max() < 1e-10
         assert abs(info.v_st[-1] - 0.5) < 1e-12
 
 

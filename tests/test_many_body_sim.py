@@ -16,8 +16,6 @@ from lindfit.many_body_sim import (
     bath_sites,
     bath_thermal_state,
     build_bath_hamiltonian,
-    build_hamiltonian_I,
-    build_hamiltonian_II,
     embed_subsystem_state,
     evolve_and_reduce,
     generate_trajectory,
@@ -48,15 +46,15 @@ def _full_oracle_trajectory(model, rho_s0, dt, steps):
 
 def test_hamiltonian_I_diagonal_example():
     # all-up state: every n_i = 1, so the diagonal entry counts the bonds
-    H = build_hamiltonian_I(4, 0.0, 0.0, 1.0)
+    H = model_hamiltonian(SpinChainModel("I", 4, 0.0, 0.0, V_prime=1.0))
     assert H[0, 0] == pytest.approx(3.0)
-    H = build_hamiltonian_I(5, 0.0, 2.0, 0.25)
+    H = model_hamiltonian(SpinChainModel("I", 5, 0.0, 2.0, V_prime=0.25))
     # bath bonds (3,4), (4,5) with V=2; boundary bonds (5,1), (1,2), (2,3)
     assert H[0, 0] == pytest.approx(2 * 2.0 + 3 * 0.25)
 
 
 def test_hamiltonian_I_free_spectrum():
-    H = build_hamiltonian_I(4, 2.0, 0.0, 0.0)
+    H = model_hamiltonian(SpinChainModel("I", 4, 2.0, 0.0, V_prime=0.0))
     w = np.sort(np.linalg.eigvalsh(H))
     expect = np.sort(np.concatenate([[-4.0], [-2.0] * 4, [0.0] * 6, [2.0] * 4, [4.0]]))
     np.testing.assert_allclose(w, expect, atol=1e-12)
@@ -64,24 +62,37 @@ def test_hamiltonian_I_free_spectrum():
 
 def test_hamiltonian_I_requires_four_sites():
     with pytest.raises(ValueError):
-        build_hamiltonian_I(3, 1.0, 1.0, 0.0)
+        SpinChainModel("I", 3, 1.0, 1.0)
 
 
-def test_hamiltonian_II_two_sites_explicit():
-    om, V = 0.9, 0.35
-    H = build_hamiltonian_II(2, om, V, 1.7)
-    expect = np.zeros((4, 4))
-    expect[0, 0] = V  # only |up,up> = index 0 has n1 n2 = 1
-    for a, b in [(0, 1), (2, 3), (0, 2), (1, 3)]:
-        expect[a, b] = expect[b, a] = om / 2
+def _site_op(op, site, n_sites):
+    # site 1 is the most significant qubit, so it is the leftmost factor
+    factors = [np.eye(2)] * n_sites
+    factors[site - 1] = op
+    out = np.eye(1)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def test_hamiltonian_II_matches_kron_oracle():
+    om, V, alpha, n = 0.9, 0.35, 1.7, 4
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    up = np.diag([1.0, 0.0])  # n_i projects onto spin up, basis state |0>
+    expect = sum(om / 2 * _site_op(sx, s, n) for s in range(1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            expect = expect + (V / (j - i) ** alpha
+                               * _site_op(up, i, n) @ _site_op(up, j, n))
+    H = model_hamiltonian(SpinChainModel("II", n, om, V, alpha=alpha))
     np.testing.assert_allclose(H, expect, atol=1e-15)
 
 
 def test_hamiltonian_II_power_law_weights():
     V, alpha = 1.3, 8.0
-    H = build_hamiltonian_II(3, 0.0, V, alpha)
-    # all-up diagonal: pairs (1,2), (2,3) at distance 1 and (1,3) at 2^-8
-    assert H[0, 0] == pytest.approx(V * (2.0 + 2.0 ** -8))
+    H = model_hamiltonian(SpinChainModel("II", 4, 0.0, V, alpha=alpha))
+    # all-up diagonal: three pairs at distance 1, two at 2 and one at 3
+    assert H[0, 0] == pytest.approx(V * (3.0 + 2.0 * 2.0 ** -alpha + 3.0 ** -alpha))
 
 
 def test_model_hamiltonian_symmetric_real():
@@ -413,3 +424,14 @@ def test_load_trajectory_rejects_corrupt_files(tmp_path):
     headerless.write_text("\n".join(text[12:]) + "\n")
     with pytest.raises(ValueError):
         load_trajectory(headerless)
+
+
+def test_load_trajectory_rejects_other_basis_convention(tmp_path):
+    model = SpinChainModel("I", 4, 1.0, 0.3)
+    path = tmp_path / "traj.csv"
+    save_trajectory(path, generate_trajectory(model, 0.1, 5, seed=1))
+    ours = build_pauli_basis(2).convention_id
+    path.write_text(path.read_text().replace(f"convention_id={ours}",
+                                             "convention_id=some-other-basis-v9"))
+    with pytest.raises(ValueError, match=f"'some-other-basis-v9', expected '{ours}'"):
+        load_trajectory(path)

@@ -186,15 +186,15 @@ def test_stationary_error_relaxing_qubit():
     X = np.zeros((3, 3))
     X[2, 2] = np.sqrt(0.4)
     basis = build_pauli_basis(1)
-    gen = assemble_generator(GeneratorParams(omega=om, X=X, Y=np.zeros((3, 3))), basis)
-    info = stationary_state(gen)
+    L = assemble_generator(GeneratorParams(omega=om, X=X, Y=np.zeros((3, 3))), basis)
+    info = stationary_state(L)
     assert info.tau == pytest.approx(5.0, rel=1e-9)
     rng = np.random.default_rng(3)
     trajs = []
     for _ in range(4):
         v0 = rho_to_coherence(ginibre_density_matrix(2, rng), basis)
         n_steps = int(round(10 * info.tau / 0.05))
-        trajs.append(_traj(0.05, propagate_trajectory(gen.L, v0, 0.05, n_steps)))
+        trajs.append(_traj(0.05, propagate_trajectory(L, v0, 0.05, n_steps)))
     eps = stationary_error(trajs, info.v_st, info.tau)
     assert 1e-6 < eps < 1e-3
 

@@ -1,4 +1,4 @@
-"""Basis construction, structure constants, and coherence-vector maps."""
+"""Basis construction and coherence-vector maps."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from lindfit.spin_algebra import (
     build_pauli_basis,
     coherence_to_matrix,
     coherence_to_rho,
-    compute_structure_constants,
     ginibre_density_matrix,
     rho_to_coherence,
 )
@@ -65,36 +64,6 @@ def test_basis_for_dimension():
     assert basis_for_dimension(4).d == 4 and basis_for_dimension(4).n == 15
     with pytest.raises(ValueError):
         basis_for_dimension(3)
-
-
-def test_structure_constants_qubit():
-    b = build_pauli_basis(1)
-    sc = compute_structure_constants(b)
-    # [σx/√2, σy/√2] = 2i σz/2 = i·√2·(σz/√2)
-    assert abs(sc.f[0, 1, 2] - np.sqrt(2)) < 1e-13
-    assert abs(sc.f[1, 0, 2] + np.sqrt(2)) < 1e-13
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_structure_constants_against_trace_oracle(n):
-    b = build_pauli_basis(n)
-    sc = compute_structure_constants(b)
-    F = b.elements
-    m = b.n
-    rng = np.random.default_rng(51 + n)
-    # spot-check random triples with a plain trace formula
-    for _ in range(60):
-        i, j, k = rng.integers(0, m, size=3)
-        comm = F[i] @ F[j] - F[j] @ F[i]
-        anti = F[i] @ F[j] + F[j] @ F[i]
-        f_ijk = np.trace(comm @ F[k]) / 1j
-        d_ijk = np.trace(anti @ F[k])
-        assert abs(f_ijk.imag) < 1e-13
-        assert abs(sc.f[i, j, k] - f_ijk.real) < 1e-12
-        assert abs(sc.d_sym[i, j, k] - d_ijk.real) < 1e-12
-    # antisymmetry / symmetry in the first index pair
-    np.testing.assert_allclose(sc.f, -np.swapaxes(sc.f, 0, 1), atol=1e-13)
-    np.testing.assert_allclose(sc.d_sym, np.swapaxes(sc.d_sym, 0, 1), atol=1e-13)
 
 
 def test_coherence_round_trip():

@@ -18,7 +18,6 @@ from lindfit.trainer import (
     TrainConfig,
     adam_step,
     build_dataset,
-    gradient,
     load_checkpoint,
     loss,
     loss_and_gradient,
@@ -33,7 +32,7 @@ def _traj(dt, snapshots):
 
 
 def _synthetic_trajectories(params, basis, dt, n_steps, n_traj, seed):
-    L = assemble_generator(params, basis).L
+    L = assemble_generator(params, basis)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n_traj):
@@ -92,7 +91,7 @@ def test_loss_zero_at_generating_params():
     ds = build_dataset(trajs, split_fraction=1.0)
     val = loss(params, ds.train_in, ds.train_out, ds.dt, tensors)
     assert val < 1e-26
-    g = gradient(params, ds.train_in, ds.train_out, ds.dt, tensors)
+    g = loss_and_gradient(params, ds.train_in, ds.train_out, ds.dt, tensors)[1]
     assert max(np.abs(g.omega).max(), np.abs(g.X).max(), np.abs(g.Y).max()) < 1e-12
 
 
