@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -83,6 +84,27 @@ class ExperimentConfig:
     paths: PathsBlock = field(default_factory=PathsBlock)
 
 
+def _check_numbers(obj, name):
+    """Refuse a numeric field of the wrong type.
+
+    int fields take int; float fields take a finite int or float; bool is
+    neither.
+    """
+    for key, kind in get_type_hints(type(obj)).items():
+        value = getattr(obj, key)
+        if kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            want = "an integer"
+        elif kind is float:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value))
+            want = "a finite number"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{name}.{key} must be {want}, got {value!r}")
+
+
 def _block(cls, payload, name):
     payload = dict(payload or {})
     known = {f.name for f in fields(cls)}
@@ -93,7 +115,9 @@ def _block(cls, payload, name):
         payload["axis1_values"] = tuple(payload["axis1_values"])
     if "axis2_values" in payload:
         payload["axis2_values"] = tuple(payload["axis2_values"])
-    return cls(**payload)
+    block = cls(**payload)
+    _check_numbers(block, name)
+    return block
 
 
 def _check_divides(dt, T, what):
@@ -116,6 +140,7 @@ def load_config(path):
         model = SpinChainModel(**mraw)
     except TypeError as exc:
         raise ConfigError(f"{path}: bad model block ({exc})") from exc
+    _check_numbers(model, "model")
     cfg = ExperimentConfig(
         model=model,
         simulation=_block(SimulationBlock, raw.get("simulation"), "simulation"),
@@ -135,7 +160,7 @@ def load_config(path):
             ("training.batches_per_epoch", cfg.training.batches_per_epoch, 1),
             ("training.epochs", cfg.training.epochs, 0),
             ("metrics.n_initial_conditions", cfg.metrics.n_initial_conditions, 1)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return cfg
 
@@ -329,13 +354,16 @@ def _write_timeseries(path, exact, pred):
     cols += [f"exact_v_{k}" for k in range(1, n + 1)]
     cols += [f"model_v_{k}" for k in range(1, n + 1)]
     t = exact.dt * np.arange(exact.snapshots.shape[0])
+    rows = np.column_stack((t, exact.snapshots, pred.snapshots)).tolist()
+    _write_csv(path, cols, rows)
+
+
+def _write_csv(path, cols, rows):
+    """Header plus rows of floats at 17 significant digits."""
+    row_fmt = ",".join(["%.17g"] * len(cols))
+    lines = [",".join(cols)] + [row_fmt % tuple(row) for row in rows]
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(t.size):
-            row = [f"{t[k]:.17g}"]
-            row += [f"{x:.17g}" for x in exact.snapshots[k]]
-            row += [f"{x:.17g}" for x in pred.snapshots[k]]
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_report_csv(path, report):
@@ -462,18 +490,13 @@ def _write_observables(path, exact, L, info):
     comps = {"sz_1": 11, "sz_2": 14, "sz_sz": 10}
     t = exact.dt * np.arange(n_steps + 1)
     cols = ["t_over_omega_inv"]
-    for name in comps:
+    series = [t]
+    for name, ci in comps.items():
         cols += [f"{name}_exact", f"{name}_model", f"{name}_stationary"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(t.size):
-            row = [f"{t[k]:.17g}"]
-            for name, ci in comps.items():
-                # expectation of the two-spin Pauli word is 2 * v component
-                row += [f"{2 * exact.snapshots[k, ci]:.17g}",
-                        f"{2 * pred[k, ci]:.17g}",
-                        f"{2 * info.v_st[ci]:.17g}"]
-            fh.write(",".join(row) + "\n")
+        # expectation of the two-spin Pauli word is 2 * v component
+        series += [2 * exact.snapshots[:, ci], 2 * pred[:, ci],
+                   np.full(t.size, 2 * info.v_st[ci])]
+    _write_csv(path, cols, np.column_stack(series).tolist())
 
 
 def reference_two_spin_hamiltonian(model):

@@ -20,10 +20,19 @@ L_hk = Tr(F_h Gen[F_k]):
 The gradient with respect to (omega, Re c, Im c) is G vec(dLoss/dL), so
 training and assembly share the same map.
 
-The propagator exp(dt L) is evaluated by a scaled-and-squared truncated
-Taylor series.  The same truncation is shared with the reverse-mode
-derivative used for training, so gradients are exact for the function
-actually computed.
+The propagator exp(dt L) is a truncated Taylor series with scaling and
+squaring, p_m(A / 2^s)^(2^s) for A = dt L.  The degree m and the scaling s
+are chosen once per call from the 1-norm of A (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33(2), 2011): the smallest m in {2, 4, 6, 9, 12, 16} with
+||A||_1 <= theta_m, else m = 16 and the least s with ||A||_1 / 2^s <=
+theta_16.  The polynomial is evaluated by Paterson-Stockmeyer.
+
+The adjoint reuses that polynomial.  The computed function f has real
+coefficients, so the adjoint of its Frechet derivative L_f(A, .) is
+L_f(A^T, .), and L_f(A^T, M_bar) is the top-right block of f applied to the
+block matrix [[A^T, M_bar], [0, A^T]] (Al-Mohy & Higham, SIAM J. Matrix
+Anal. Appl. 30(4), 2009).  Evaluated with the same m and s, it gives
+gradients that are exact for the function actually computed.
 """
 
 from __future__ import annotations
@@ -35,12 +44,13 @@ import numpy as np
 
 from .spin_algebra import BasisSet, basis_for_dimension
 
-# Relative size at which the Taylor series is truncated.  Two extra terms are
-# appended past the stopping point so the truncation plateau sits well below
-# finite-difference resolution.
-EXPM_REL_TOL = 1e-16
-_EXPM_EXTRA_TERMS = 2
-_EXPM_MAX_TERMS = 120
+# Taylor degrees m that Paterson-Stockmeyer evaluates most cheaply, and the
+# largest ||A||_1 for which the degree-m series meets double-precision unit
+# roundoff: Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1.
+_TAYLOR_DEGREES = (2, 4, 6, 9, 12, 16)
+_TAYLOR_THETA = (2.58e-8, 3.40e-4, 9.07e-3, 8.96e-2, 3.00e-1, 7.81e-1)
+# 1/k! up to the highest degree
+_TAYLOR_COEFFICIENTS = 1.0 / np.array([math.factorial(k) for k in range(17)], dtype=float)
 
 
 class GeneratorParams:
@@ -139,16 +149,6 @@ def kossakowski_from_factors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return z.conj().T @ z
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    # column-stacking vectorization, so vec(A X B) = (B^T kron A) vec(X)
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def _basis_frame(basis: BasisSet) -> np.ndarray:
-    """Unitary whose columns are vec(F_k)."""
-    return np.stack([_vec(F) for F in basis.elements], axis=1)
-
-
 def _hamiltonian_superop(H: np.ndarray) -> np.ndarray:
     d = H.shape[0]
     eye = np.eye(d)
@@ -164,7 +164,10 @@ def _pair_superop(F_i: np.ndarray, F_j: np.ndarray) -> np.ndarray:
 
 
 def generator_superoperator(H: np.ndarray, c: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Dense vectorized superoperator of the full generator (complex)."""
+    """Dense vectorized superoperator of the full generator (complex).
+
+    Vectorization stacks columns, so vec(A X B) = (B^T kron A) vec(X).
+    """
     n = basis.n
     F = basis.elements
     S = _hamiltonian_superop(H).astype(complex)
@@ -189,21 +192,30 @@ def precompute_dissipator_tensors(basis: BasisSet) -> np.ndarray:
     exactly, so assembled generators keep the last coherence component
     pinned.  Imaginary leftovers of the Hamiltonian projections beyond
     rounding indicate a broken basis and raise.
+
+    Every projection is read off the trace tensor T[a, b, c, e] =
+    Tr(F_a F_b F_c F_e); three-fold traces use F_{d^2} = 1/sqrt(d).
     """
     key = (basis.convention_id, basis.d)
     hit = _TENSOR_CACHE.get(key)
     if hit is not None:
         return hit
-    n, d2 = basis.n, basis.d ** 2
+    n, d, d2 = basis.n, basis.d, basis.d ** 2
     F = basis.elements
-    phi = _basis_frame(basis)
-    phi_h = phi.conj().T
-    h = np.stack([phi_h @ _hamiltonian_superop(F[k]) @ phi for k in range(n)])
+    # products P_ab = F_a F_b, and Tr(P_ab P_ce) = sum_xy (P_ab)_xy (P_ce)_yx
+    P = np.matmul(F[:, None], F[None, :]).reshape(d2 * d2, d, d)
+    T = (P.reshape(d2 * d2, -1) @ P.transpose(0, 2, 1).reshape(d2 * d2, -1).T
+         ).reshape(d2, d2, d2, d2)
+    # Tr(F_h Gen[F_c]) for Gen = -i[F_k, .]: -i(Tr(F_h F_k F_c) - Tr(F_h F_c F_k))
+    T3 = np.sqrt(d) * T[..., -1]
+    h = -1.0j * (T3.transpose(1, 0, 2) - T3.transpose(2, 0, 1))[:n]
     if np.abs(h.imag).max() > 1e-12:
         raise ValueError("Hamiltonian projection is not real")
-    pairs = np.stack([phi_h @ _pair_superop(F[i], F[j]) @ phi
-                      for i in range(n) for j in range(n)])
-    G = np.concatenate((h.real, pairs.real, -pairs.imag)).reshape(-1, d2 * d2)
+    # F_i rho F_j - {F_j F_i, rho}/2 at rho = F_c, projected on F_h
+    pairs = (T.transpose(1, 3, 0, 2) - 0.5 * T.transpose(2, 1, 0, 3)
+             - 0.5 * T.transpose(3, 2, 0, 1))[:n, :n]
+    G = np.concatenate((h.real.reshape(n, -1), pairs.real.reshape(n * n, -1),
+                        -pairs.imag.reshape(n * n, -1)))
     G[:, (d2 - 1) * d2:] = 0.0
     G.setflags(write=False)
     _TENSOR_CACHE[key] = G
@@ -237,86 +249,95 @@ def extract_hamiltonian(params: GeneratorParams, basis: BasisSet) -> np.ndarray:
     return np.tensordot(params.omega, basis.elements[:basis.n], axes=(0, 0))
 
 
+def _ps_coefficients(m: int) -> np.ndarray:
+    """The degree-m Taylor coefficients as Paterson-Stockmeyer blocks.
+
+    Row j holds the coefficients of I, X, ..., X^q in block B_j, where
+    q = ceil(sqrt(m)) divides every degree in _TAYLOR_DEGREES, so that
+    p_m(X) = B_0 + X^q (B_1 + ... + X^q B_{m/q - 1}).  Only the last block
+    reaches X^q.
+    """
+    q = math.isqrt(m - 1) + 1
+    C = np.zeros((m // q, q + 1))
+    C[:, :q] = _TAYLOR_COEFFICIENTS[:m].reshape(m // q, q)
+    C[-1, q] = _TAYLOR_COEFFICIENTS[m]
+    return C
+
+
+_PS_COEFFICIENTS = {m: _ps_coefficients(m) for m in _TAYLOR_DEGREES}
+
+
 @dataclass
 class _ExpmCache:
-    """Intermediates of one scaled-and-squared Taylor evaluation."""
+    """What propagate_backward needs from one propagate_with_cache call.
 
-    scale: float
+    A is dt L; terms holds the m + 1 Taylor coefficients of the chosen
+    degree m and squares the s matrices that were squared.
+    """
+
     A: np.ndarray
-    terms: list
-    T: np.ndarray
+    terms: np.ndarray
     squares: list
-    M: np.ndarray
 
 
-def _expm_taylor(A: np.ndarray, keep: bool):
-    """exp(A) by scaling and squaring of an adaptively truncated series."""
-    norm = np.abs(A).max()
+def _taylor_plan(A: np.ndarray):
+    """Degree m and scaling s for A, from its 1-norm."""
+    norm = np.abs(A).sum(axis=0).max()
     if not np.isfinite(norm):
         raise ValueError("non-finite generator entries")
-    s = 0
-    if norm > 1.0:
-        s = int(np.ceil(np.log2(norm)))
-    B = A / (2.0 ** s)
-    T = np.eye(A.shape[0])
-    P = np.eye(A.shape[0])
-    terms = [P]
-    k = 0
-    extra = _EXPM_EXTRA_TERMS
-    while True:
-        k += 1
-        if k > _EXPM_MAX_TERMS:
-            raise RuntimeError("matrix exponential series failed to converge")
-        P = (B @ P) / k
-        T = T + P
-        if keep:
-            terms.append(P)
-        if np.abs(P).max() <= EXPM_REL_TOL * np.abs(T).max():
-            if extra == 0:
-                break
-            extra -= 1
+    for m, theta in zip(_TAYLOR_DEGREES, _TAYLOR_THETA):
+        if norm <= theta:
+            return m, 0
+    return _TAYLOR_DEGREES[-1], math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))
+
+
+def _taylor(A: np.ndarray, m: int, s: int):
+    """p_m(A / 2^s)^(2^s); returns it and the s matrices that were squared."""
+    C = _PS_COEFFICIENTS[m]
+    q = C.shape[1] - 1
+    powers = np.empty((q + 1,) + A.shape)
+    powers[0] = np.eye(A.shape[0])
+    powers[1] = A / 2.0 ** s if s else A
+    for k in range(2, q + 1):
+        np.matmul(powers[1], powers[k - 1], out=powers[k])
+    blocks = (C @ powers.reshape(q + 1, -1)).reshape((-1,) + A.shape)
+    P = blocks[-1]
+    for B in blocks[-2::-1]:
+        P = B + powers[q] @ P
     squares = []
-    M = T
     for _ in range(s):
-        if keep:
-            squares.append(M)
-        M = M @ M
-    if keep:
-        return M, _ExpmCache(scale=2.0 ** s, A=B, terms=terms, T=T, squares=squares, M=M)
-    return M, None
+        squares.append(P)
+        P = P @ P
+    return P, squares
 
 
 def propagate(L: np.ndarray, dt: float) -> np.ndarray:
     """Propagator M = exp(dt L).  Preserves the identity row exactly."""
-    M, _ = _expm_taylor(dt * np.asarray(L, dtype=float), keep=False)
-    return M
+    A = dt * np.asarray(L, dtype=float)
+    return _taylor(A, *_taylor_plan(A))[0]
 
 
 def propagate_with_cache(L: np.ndarray, dt: float):
     """Like propagate, but returns the intermediates for reverse mode."""
-    M, cache = _expm_taylor(dt * np.asarray(L, dtype=float), keep=True)
-    return M, cache
+    A = dt * np.asarray(L, dtype=float)
+    m, s = _taylor_plan(A)
+    M, squares = _taylor(A, m, s)
+    return M, _ExpmCache(A=A, terms=_TAYLOR_COEFFICIENTS[:m + 1], squares=squares)
 
 
 def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.ndarray:
-    """Adjoint of propagate through the recorded Taylor recurrence.
+    """Adjoint of propagate: dLoss/dL from dLoss/dM.
 
-    Given dLoss/dM, returns dLoss/dL for the exact forward truncation.
+    dt times the top-right block of the forward polynomial, same degree and
+    scaling, evaluated on [[A^T, M_bar], [0, A^T]]; exact for the forward
+    truncation.
     """
-    G = np.asarray(M_bar, dtype=float)
-    for Mj in reversed(cache.squares):
-        G = G @ Mj.T + Mj.T @ G
-    T_bar = G
-    A = cache.A
-    terms = cache.terms
-    K = len(terms) - 1
-    A_bar = np.zeros_like(A)
-    P_bar = T_bar
-    for k in range(K, 0, -1):
-        A_bar += (P_bar @ terms[k - 1].T) / k
-        if k > 1:
-            P_bar = T_bar + (A.T @ P_bar) / k
-    return A_bar * (dt / cache.scale)
+    n = cache.A.shape[0]
+    Z = np.zeros((2 * n, 2 * n))
+    Z[:n, :n] = Z[n:, n:] = cache.A.T
+    Z[:n, n:] = M_bar
+    F, _ = _taylor(Z, len(cache.terms) - 1, len(cache.squares))
+    return dt * F[:n, n:]
 
 
 def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:

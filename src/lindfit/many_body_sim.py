@@ -26,16 +26,6 @@ from .spin_algebra import build_pauli_basis, ginibre_density_matrix
 
 DEFAULT_MAX_SITES = 12
 
-_BASIS2 = None
-
-
-def _basis2():
-    global _BASIS2
-    if _BASIS2 is None:
-        _BASIS2 = build_pauli_basis(2)
-    return _BASIS2
-
-
 class CapacityError(RuntimeError):
     """A requested chain is larger than the configured size cap."""
 
@@ -308,7 +298,7 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
                 if b != a:
                     out[ks, b, a] = val.conj()
 
-    basis = _basis2()
+    basis = build_pauli_basis(2)
     F = basis.elements
     v = np.einsum("tij,kji->tk", out, F)
     # the mirrored blocks make every off-diagonal pair exactly Hermitian, so
@@ -343,7 +333,7 @@ def save_trajectory(path, traj):
         f"dt={traj.dt:.17g}",
         f"n_steps={traj.snapshots.shape[0] - 1}",
         f"seed={'' if traj.seed is None else traj.seed}",
-        f"convention_id={_basis2().convention_id}",
+        f"convention_id={build_pauli_basis(2).convention_id}",
     ]
     ncomp = traj.snapshots.shape[1]
     lines.append("step," + ",".join(f"v_{k}" for k in range(1, ncomp + 1)))
@@ -367,7 +357,7 @@ def load_trajectory(path):
         meta[key] = val
     else:
         raise ValueError(f"{path}: no snapshot table found")
-    convention = _basis2().convention_id
+    convention = build_pauli_basis(2).convention_id
     if meta.get("convention_id") != convention:
         raise ValueError(f"{path}: trajectory uses basis convention "
                          f"{meta.get('convention_id')!r}, expected {convention!r}")

@@ -15,6 +15,7 @@ normalization and is never evolved independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -50,8 +51,12 @@ class BasisSet:
         return self.d ** 2 - 1
 
 
+@cache
 def build_pauli_basis(num_spins: int) -> BasisSet:
     """Build the tensor-product Pauli basis for a register of qubits.
+
+    Built once per num_spins; every caller shares the frozen, read-only
+    result.
 
     Parameters
     ----------

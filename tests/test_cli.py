@@ -9,6 +9,8 @@ import pytest
 
 from lindfit.cli import (
     ConfigError,
+    _write_observables,
+    _write_timeseries,
     cmd_eval,
     cmd_gen_data,
     cmd_interpret,
@@ -25,6 +27,7 @@ from lindfit.lindblad_generator import (
     assemble_generator,
     propagate_trajectory,
     save_model,
+    stationary_state,
 )
 from lindfit.many_body_sim import (
     SpinChainModel,
@@ -191,6 +194,63 @@ def test_eval_on_own_dynamics_is_exact(tmp_path):
     assert rep_csv[0].startswith("i_err_interp,i_err_extrap")
 
 
+def _write_timeseries_value_loop(path, exact, pred):
+    """Reference writer: one f-string per value."""
+    n = exact.snapshots.shape[1]
+    cols = ["t_over_omega_inv"]
+    cols += [f"exact_v_{k}" for k in range(1, n + 1)]
+    cols += [f"model_v_{k}" for k in range(1, n + 1)]
+    t = exact.dt * np.arange(exact.snapshots.shape[0])
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(t.size):
+            row = [f"{t[k]:.17g}"]
+            row += [f"{x:.17g}" for x in exact.snapshots[k]]
+            row += [f"{x:.17g}" for x in pred.snapshots[k]]
+            fh.write(",".join(row) + "\n")
+
+
+def _write_observables_value_loop(path, exact, L, info):
+    """Reference writer: one f-string per value."""
+    n_steps = exact.snapshots.shape[0] - 1
+    pred = propagate_trajectory(L, exact.snapshots[0], exact.dt, n_steps)
+    comps = {"sz_1": 11, "sz_2": 14, "sz_sz": 10}
+    t = exact.dt * np.arange(n_steps + 1)
+    cols = ["t_over_omega_inv"]
+    for name in comps:
+        cols += [f"{name}_exact", f"{name}_model", f"{name}_stationary"]
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for k in range(t.size):
+            row = [f"{t[k]:.17g}"]
+            for name, ci in comps.items():
+                row += [f"{2 * exact.snapshots[k, ci]:.17g}",
+                        f"{2 * pred[k, ci]:.17g}",
+                        f"{2 * info.v_st[ci]:.17g}"]
+            fh.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 40])
+def test_report_csv_matches_value_loop_reference(tmp_path, n_steps):
+    basis = build_pauli_basis(2)
+    L = assemble_generator(_stable_two_spin_params(), basis)
+    info = stationary_state(L)
+    rng = np.random.default_rng(31)
+    v0 = rho_to_coherence(ginibre_density_matrix(4, rng), basis)
+    snaps = propagate_trajectory(L, v0, 0.03, n_steps)
+    # exercise signed zero, tiny and huge magnitudes in the float formatting
+    snaps[0, [10, 11, 14]] = [-0.0, 5e-324, 1.2345678901234567e300]
+    exact = Trajectory(model=None, dt=0.03, snapshots=snaps)
+    pred = Trajectory(model=None, dt=0.03, snapshots=snaps[:, ::-1] / 3)
+    for writer, reference, args in (
+            (_write_timeseries, _write_timeseries_value_loop, (exact, pred)),
+            (_write_observables, _write_observables_value_loop, (exact, L, info))):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        writer(fast, *args)
+        reference(ref, *args)
+        assert fast.read_bytes() == ref.read_bytes()
+
+
 def test_eval_flags_missing_extrapolation(tmp_path):
     # files stop at T_train, so the extrapolation window cannot be scored
     cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
@@ -350,6 +410,33 @@ def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("overrides", [
+    {"simulation": {"dt": "0.1"}},
+    {"simulation": {"n_trajectories": 2.5}},
+    {"simulation": {"max_sites": "12"}},
+    {"simulation": {"seed": True}},
+    {"metrics": {"a": "5"}},
+    {"metrics": {"b": float("inf")}},
+    {"training": {"learning_rate": "1e-2"}},
+    {"training": {"beta1": float("nan")}},
+    {"training": {"epochs": 2.0}},
+    {"model": {"omega": "1"}},
+    {"model": {"n_sites": 4.0}},
+], ids=["dt_str", "n_trajectories_float", "max_sites_str", "seed_bool",
+        "a_str", "b_inf", "learning_rate_str", "beta1_nan", "epochs_float",
+        "omega_str", "n_sites_float"])
+def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
+    cfg_path = _write_config(tmp_path, overrides)
+    rc = main(["--config", cfg_path, "--out", str(tmp_path / "run"), "gen-data"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_main_seed_override_changes_data(tmp_path):

@@ -8,8 +8,11 @@ from explicit python loops, and against the dense reference superoperator.
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg._expm_multiply import _theta as scipy_theta
 
 from lindfit.lindblad_generator import (
+    _TAYLOR_DEGREES,
+    _TAYLOR_THETA,
     GeneratorParams,
     assemble_generator,
     extract_hamiltonian,
@@ -144,6 +147,35 @@ def test_propagate_against_scipy(basis2, rng):
             assert np.abs(M - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
 
 
+def _degree_cases():
+    # ||dt L||_1 just below and just above each theta_m, and far above
+    # theta_16, with the degree and the number of squarings it must select
+    cases = []
+    for k, (m, theta) in enumerate(zip(_TAYLOR_DEGREES, _TAYLOR_THETA)):
+        cases.append(pytest.param(theta * (1 - 1e-3), m, 0, id=f"below-{m}"))
+        above = (_TAYLOR_DEGREES[k + 1], 0) if m != 16 else (16, 1)
+        cases.append(pytest.param(theta * (1 + 1e-3), *above, id=f"above-{m}"))
+    cases.append(pytest.param(_TAYLOR_THETA[-1] * 2 ** 5 * (1 - 1e-3), 16, 5, id="s5"))
+    cases.append(pytest.param(_TAYLOR_THETA[-1] * 2 ** 5 * (1 + 1e-3), 16, 6, id="s6"))
+    return cases
+
+
+def test_taylor_thresholds_match_scipy():
+    assert _TAYLOR_THETA == tuple(scipy_theta[m] for m in _TAYLOR_DEGREES)
+
+
+@pytest.mark.parametrize("norm,degree,squarings", _degree_cases())
+def test_propagate_degree_and_scaling_against_scipy(basis2, norm, degree, squarings):
+    params = GeneratorParams.random(basis2.n, 0.6, np.random.default_rng(11))
+    L = assemble_generator(params, basis2)
+    dt = norm / np.abs(L).sum(axis=0).max()
+    M, cache = propagate_with_cache(L, dt)
+    assert (len(cache.terms) - 1, len(cache.squares)) == (degree, squarings)
+    np.testing.assert_array_equal(propagate(L, dt), M)
+    ref = scipy.linalg.expm(L * dt)
+    assert np.abs(M - ref).max() < 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_propagate_identity_cases(basis2):
     L = np.zeros((16, 16))
     np.testing.assert_allclose(propagate(L, 1.7), np.eye(16), atol=1e-15)
@@ -168,17 +200,23 @@ def test_propagate_stiff_matrix(rng):
     assert np.abs(M - ref).max() / np.abs(ref).max() < 1e-10
 
 
-def test_propagate_backward_matches_fd(basis2):
+# ||dt L||_1 is 14 at dt = 0.37, 0.39 at dt = 0.01 and 0.027 at dt = 7e-4,
+# the regime of the fit workload
+@pytest.mark.parametrize("dt,degree,squarings", [(0.37, 16, 5), (0.01, 16, 0),
+                                                 (7e-4, 9, 0)])
+def test_propagate_backward_matches_fd(basis2, dt, degree, squarings):
     rng = np.random.default_rng(42)
     params = GeneratorParams.random(basis2.n, 0.4, rng)
     L = assemble_generator(params, basis2)
-    W = rng.standard_normal((16, 16))
-    dt = 0.37
+    # the gradient is about dt W, so W is scaled by 1/dt to keep it O(1) at
+    # every dt, where the absolute tolerance below still tells errors apart
+    W = rng.standard_normal((16, 16)) / dt
 
     def phi(mat):
         return float(np.sum(W * propagate(mat, dt)))
 
     _, cache = propagate_with_cache(L, dt)
+    assert (len(cache.terms) - 1, len(cache.squares)) == (degree, squarings)
     grad = propagate_backward(cache, W, dt)
     eps = 1e-6
     for i, j in [(0, 0), (3, 7), (11, 2), (15, 15), (5, 5), (9, 14)]:
