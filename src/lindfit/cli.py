@@ -15,7 +15,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, field, fields, replace
+from dataclasses import MISSING, dataclass, asdict, field, fields, \
+    is_dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -28,7 +29,8 @@ from .lindblad_generator import (assemble_generator, propagate_trajectory,
 from .trainer import TrainConfig, build_dataset, train, save_loss_curves, \
     save_checkpoint
 from .many_body_sim import (SpinChainModel, Trajectory, generate_trajectory,
-                            save_trajectory, load_trajectory, CapacityError)
+                            save_trajectory, load_trajectory, CapacityError,
+                            DEFAULT_MAX_SITES)
 from .metrics import i_err, fvu, stationary_error, ErrorReport
 
 SIGMA_Z_SUM_COMPONENTS = (11, 14)  # sigma_z(x)1 and 1(x)sigma_z basis slots
@@ -46,7 +48,7 @@ class SimulationBlock:
     n_trajectories: int = 50
     n_eval_trajectories: int = 10
     seed: int = 1234
-    max_sites: int = 12
+    max_sites: int = DEFAULT_MAX_SITES
 
 
 @dataclass
@@ -84,40 +86,50 @@ class ExperimentConfig:
     paths: PathsBlock = field(default_factory=PathsBlock)
 
 
-def _check_numbers(obj, name):
-    """Refuse a numeric field of the wrong type.
+def _is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
-    int fields take int; float fields take a finite int or float; bool is
-    neither.
-    """
-    for key, kind in get_type_hints(type(obj)).items():
-        value = getattr(obj, key)
-        if kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-            want = "an integer"
-        elif kind is float:
-            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-                  and math.isfinite(value))
-            want = "a finite number"
-        else:
-            continue
-        if not ok:
-            raise ConfigError(f"{name}.{key} must be {want}, got {value!r}")
+
+# what the JSON value of a field must be, by the field's annotated type
+_FIELD_KINDS = {
+    int: ("an integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of finite numbers",
+            lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
 
 
 def _block(cls, payload, name):
-    payload = dict(payload or {})
-    known = {f.name for f in fields(cls)}
-    bad = set(payload) - known
-    if bad:
-        raise ConfigError(f"unknown keys in {name} block: {sorted(bad)}")
-    if "axis1_values" in payload:
-        payload["axis1_values"] = tuple(payload["axis1_values"])
-    if "axis2_values" in payload:
-        payload["axis2_values"] = tuple(payload["axis2_values"])
-    block = cls(**payload)
-    _check_numbers(block, name)
-    return block
+    """Build the dataclass `cls` from a JSON object.
+
+    Unknown keys, missing required keys and values of the wrong type are
+    refused with ConfigError; JSON lists become tuples and fields that are
+    themselves blocks are read the same way.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{name} block must be a JSON object, got {payload!r}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(payload) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown keys in {name} block: {unknown}")
+    missing = sorted(f.name for f in fields(cls) if f.name not in payload
+                     and f.default is MISSING and f.default_factory is MISSING)
+    if missing:
+        raise ConfigError(f"missing keys in {name} block: {missing}")
+    values = {}
+    for key, value in payload.items():
+        kind = hints[key]
+        if is_dataclass(kind):
+            values[key] = _block(kind, value, key)
+            continue
+        want, ok = _FIELD_KINDS[kind]
+        if not ok(value):
+            raise ConfigError(f"{name}.{key} must be {want}, got {value!r}")
+        values[key] = tuple(value) if kind is tuple else value
+    return cls(**values)
 
 
 def _check_divides(dt, T, what):
@@ -131,23 +143,7 @@ def load_config(path):
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if "model" not in raw:
-        raise ConfigError(f"{path}: missing required 'model' block")
-    mraw = dict(raw["model"])
-    if "subsystem_sites" in mraw:
-        mraw["subsystem_sites"] = tuple(mraw["subsystem_sites"])
-    try:
-        model = SpinChainModel(**mraw)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad model block ({exc})") from exc
-    _check_numbers(model, "model")
-    cfg = ExperimentConfig(
-        model=model,
-        simulation=_block(SimulationBlock, raw.get("simulation"), "simulation"),
-        training=_block(TrainConfig, raw.get("training"), "training"),
-        scan=_block(ScanBlock, raw.get("scan"), "scan"),
-        metrics=_block(MetricsBlock, raw.get("metrics"), "metrics"),
-        paths=_block(PathsBlock, raw.get("paths"), "paths"))
+    cfg = _block(ExperimentConfig, raw, "top-level")
     sim = cfg.simulation
     if sim.dt <= 0:
         raise ConfigError("simulation.dt must be positive")
@@ -181,10 +177,29 @@ def _dirs(cfg, out):
     return d
 
 
-def _gen_one(model, dt, n_steps, seed, path, max_sites):
-    traj = generate_trajectory(model, dt, n_steps, seed, max_sites=max_sites)
-    save_trajectory(path, traj)
-    return os.path.basename(path)
+def _map(fn, jobs, threads):
+    """[fn(job) for job in jobs], on `threads` worker processes when > 1."""
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
+
+
+def _write_csv(path, cols, rows):
+    """Header plus one line per row: strings as they are, numbers at 17
+    significant digits."""
+    lines = [",".join(cols)]
+    for row in rows:
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+        lines.append(fmt % tuple(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_gen_data(cfg, out, threads=1):
@@ -192,36 +207,24 @@ def cmd_gen_data(cfg, out, threads=1):
     dirs = _dirs(cfg, out)
     sim = cfg.simulation
     n_steps = int(round(sim.T_extrapolate / sim.dt))
-    jobs = []
-    for role, count in (("train", sim.n_trajectories),
-                        ("eval", sim.n_eval_trajectories)):
-        for i in range(count):
-            seed = derive_seed(sim.seed, role, i)
-            path = os.path.join(dirs["data"], f"{role}_{i:03d}.csv")
-            jobs.append((role, cfg.model, sim.dt, n_steps, seed, path,
-                         sim.max_sites))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(_gen_worker, jobs))
-    else:
-        for job in jobs:
-            _gen_worker(job)
-    manifest = {
-        "model": asdict(cfg.model),
-        "simulation": asdict(sim),
-        "train_files": [os.path.basename(j[5]) for j in jobs if j[0] == "train"],
-        "eval_files": [os.path.basename(j[5]) for j in jobs if j[0] == "eval"],
-    }
+    files = {role: [f"{role}_{i:03d}.csv" for i in range(count)]
+             for role, count in (("train", sim.n_trajectories),
+                                 ("eval", sim.n_eval_trajectories))}
+    jobs = [(cfg.model, sim.dt, n_steps, derive_seed(sim.seed, role, i),
+             os.path.join(dirs["data"], name), sim.max_sites)
+            for role, names in files.items() for i, name in enumerate(names)]
+    _map(_gen_worker, jobs, threads)
     mpath = os.path.join(dirs["data"], "manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
+                        "train_files": files["train"],
+                        "eval_files": files["eval"]})
     return mpath
 
 
 def _gen_worker(job):
-    _, model, dt, n_steps, seed, path, max_sites = job
-    return _gen_one(model, dt, n_steps, seed, path, max_sites)
+    model, dt, n_steps, seed, path, max_sites = job
+    save_trajectory(path, generate_trajectory(model, dt, n_steps, seed,
+                                              max_sites=max_sites))
 
 
 def _load_manifest(manifest_path):
@@ -358,14 +361,6 @@ def _write_timeseries(path, exact, pred):
     _write_csv(path, cols, rows)
 
 
-def _write_csv(path, cols, rows):
-    """Header plus rows of floats at 17 significant digits."""
-    row_fmt = ",".join(["%.17g"] * len(cols))
-    lines = [",".join(cols)] + [row_fmt % tuple(row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_report_csv(path, report):
     head = ["i_err_interp", "i_err_extrap", "fvu_interp", "fvu_extrap",
             "epsilon_stationary", "epsilon_status",
@@ -380,17 +375,7 @@ def _write_report_csv(path, report):
             report.a, report.b,
             "" if report.tau is None else report.tau,
             report.n_initial_conditions]
-    with open(path, "w") as fh:
-        fh.write(",".join(head) + "\n")
-        fh.write(",".join(_csv_cell(v) for v in vals) + "\n")
-
-
-def _csv_cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    _write_csv(path, head, [vals])
 
 
 _SCAN_AXES = {"I": ("beta", "V_prime"), "II": ("alpha", "V")}
@@ -434,18 +419,12 @@ def cmd_scan(cfg, out, threads=1):
         raise ConfigError("scan requires nonempty axis value lists")
     cells = [(cfg, v1, v2, out) for v1 in scan.axis1_values
              for v2 in scan.axis2_values]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_scan_cell, cells))
-    else:
-        rows = [_scan_cell(c) for c in cells]
+    rows = _map(_scan_cell, cells, threads)
     os.makedirs(os.path.join(out, "scan"), exist_ok=True)
     csv_path = os.path.join(out, "scan", "scan_results.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("axis1,axis2,i_err_interp,i_err_extrap,fvu_interp,"
-                 "fvu_extrap,epsilon,status\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    _write_csv(csv_path, ["axis1", "axis2", "i_err_interp", "i_err_extrap",
+                          "fvu_interp", "fvu_extrap", "epsilon", "status"],
+               rows)
     return csv_path
 
 
@@ -473,9 +452,7 @@ def cmd_stationary(cfg, model_path, out):
         report["rho_st_re"] = rho_st.real.tolist()
         report["rho_st_im"] = rho_st.imag.tolist()
     rpath = os.path.join(dirs["report"], "stationary_report.json")
-    with open(rpath, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(rpath, report)
     if trajs:
         _write_observables(os.path.join(dirs["report"],
                                         "stationary_observables.csv"),
@@ -553,9 +530,7 @@ def cmd_interpret(cfg, model_path, out):
         "dominant_jump_alignment_sigma_z_sum": j_align,
     }
     rpath = os.path.join(dirs["report"], "interpret_report.json")
-    with open(rpath, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(rpath, report)
     return rpath
 
 

@@ -352,10 +352,14 @@ def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int)
     return out
 
 
-def stationary_state(L: np.ndarray, zero_tol: float = 1e-10) -> SpectralInfo:
+# generator eigenvalues of smaller modulus count as zero
+_ZERO_TOL = 1e-10
+
+
+def stationary_state(L: np.ndarray) -> SpectralInfo:
     """Eigen-analysis of the generator: stationary vector, gap, timescale.
 
-    Eigenvalues with modulus below zero_tol count as stationary; the gap is
+    Eigenvalues with modulus below _ZERO_TOL count as stationary; the gap is
     the smallest |Re| among the rest.  Degenerate stationary subspaces set
     non_unique; a vanishing gap sets no_gap and leaves tau undefined.
     """
@@ -373,15 +377,15 @@ def stationary_state(L: np.ndarray, zero_tol: float = 1e-10) -> SpectralInfo:
     _, s, Vt = np.linalg.svd(L)
     vec = Vt[-1]
     v_st = None
-    non_unique = bool(d2 > 1 and np.abs(w_sorted[1]) < zero_tol)
-    if d2 > 1 and s[-2] < max(zero_tol, 1e-13 * s[0]):
+    non_unique = bool(d2 > 1 and np.abs(w_sorted[1]) < _ZERO_TOL)
+    if d2 > 1 and s[-2] < max(_ZERO_TOL, 1e-13 * s[0]):
         non_unique = True
     if abs(vec[-1]) > 1e-12 and not non_unique:
         v_st = vec / vec[-1] / np.sqrt(d)
     else:
         non_unique = True
 
-    nonzero = w[np.abs(w) >= zero_tol]
+    nonzero = w[np.abs(w) >= _ZERO_TOL]
     if nonzero.size == 0:
         e_gap = 0.0
     else:

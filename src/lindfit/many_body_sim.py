@@ -19,10 +19,12 @@ n_i = (1+sigma_z_i)/2 takes value 1 - bit_i on a computational basis state.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .spin_algebra import build_pauli_basis, ginibre_density_matrix
+from .spin_algebra import (build_pauli_basis, ginibre_density_matrix,
+                           rho_to_coherence)
 
 DEFAULT_MAX_SITES = 12
 
@@ -211,30 +213,21 @@ class Trajectory:
         return self.dt * np.arange(self.snapshots.shape[0])
 
 
-_EIG_CACHE = {}
-_EIG_CACHE_MAX = 4
-
 # complex elements per phase chunk: the chunk's rows times m stays near this,
 # so the phase arrays take O(chunk * m) memory beside the O(m^2) blocks
 _PHASE_CHUNK_ELEMS = 500_000
 
 
+@lru_cache(maxsize=4)
 def _chain_eigensystem(model):
     """Cached (eigenvalues, subsystem-resolved eigenvectors, real bath state)."""
-    hit = _EIG_CACHE.get(model)
-    if hit is not None:
-        return hit
     n = model.n_sites
     w, U = np.linalg.eigh(model_hamiltonian(model))
     sa, sb = model.subsystem_sites
     m = 1 << n
     R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
     R = np.ascontiguousarray(R.reshape(4, m // 4, m))
-    entry = (w, R, np.ascontiguousarray(bath_thermal_state(model).real))
-    if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-        _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-    _EIG_CACHE[model] = entry
-    return entry
+    return w, R, np.ascontiguousarray(bath_thermal_state(model).real)
 
 
 def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
@@ -298,15 +291,9 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
                 if b != a:
                     out[ks, b, a] = val.conj()
 
-    basis = build_pauli_basis(2)
-    F = basis.elements
-    v = np.einsum("tij,kji->tk", out, F)
     # the mirrored blocks make every off-diagonal pair exactly Hermitian, so
-    # this sees the imaginary parts of the computed diagonal blocks
-    if np.abs(v.imag).max() > 1e-9:
-        raise ValueError("reduced snapshots have non-negligible imaginary part")
-    v = v.real
-    v[:, -1] = 1.0 / np.sqrt(basis.d)
+    # the projection's imaginary-part check sees the computed diagonal blocks
+    v = rho_to_coherence(out, build_pauli_basis(2))
     return Trajectory(model=model, dt=dt, snapshots=v, seed=seed)
 
 

@@ -103,19 +103,19 @@ def basis_for_dimension(d: int) -> BasisSet:
 
 
 def rho_to_coherence(rho: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Project a density matrix onto the basis: v_k = Tr(F_k rho).
+    """Project density matrices onto the basis: v_k = Tr(F_k rho).
 
-    The result is real for Hermitian input; the identity component is
-    pinned to 1/sqrt(d) exactly.
+    Accepts a batch (..., d, d).  The result is real for Hermitian input;
+    the identity component is pinned to 1/sqrt(d) exactly.
     """
     rho = np.asarray(rho)
-    if rho.shape != (basis.d, basis.d):
+    if rho.shape[-2:] != (basis.d, basis.d):
         raise ValueError(f"state shape {rho.shape} does not match basis dimension {basis.d}")
-    v = np.einsum("kij,ji->k", basis.elements, rho)
+    v = np.einsum("...ij,kji->...k", rho, basis.elements)
     if np.abs(v.imag).max() > 1e-9:
         raise ValueError("coherence vector has a large imaginary part; state is not Hermitian")
     v = v.real.copy()
-    v[-1] = 1.0 / np.sqrt(basis.d)
+    v[..., -1] = 1.0 / np.sqrt(basis.d)
     return v
 
 

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+import lindfit.cli as cli
 from lindfit.cli import (
     ConfigError,
     _write_observables,
+    _write_report_csv,
     _write_timeseries,
     cmd_eval,
     cmd_gen_data,
@@ -35,6 +37,7 @@ from lindfit.many_body_sim import (
     load_trajectory,
     save_trajectory,
 )
+from lindfit.metrics import ErrorReport
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 TINY = {
@@ -93,6 +96,8 @@ def test_load_config_validation(tmp_path):
     nomodel.write_text("{}")
     with pytest.raises(ConfigError):
         load_config(str(nomodel))
+    with pytest.raises(ConfigError, match=r"unknown keys in model block: \['bogus'\]"):
+        load_config(_write_config(tmp_path, {"model": {"bogus": 1}}))
 
 
 def test_derive_seed_stable_and_distinct():
@@ -249,6 +254,93 @@ def test_report_csv_matches_value_loop_reference(tmp_path, n_steps):
         writer(fast, *args)
         reference(ref, *args)
         assert fast.read_bytes() == ref.read_bytes()
+
+
+def _csv_cell_reference(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return str(v)
+
+
+def _write_report_csv_cell_reference(path, report):
+    """Reference writer: one formatting call per cell."""
+    head = ["i_err_interp", "i_err_extrap", "fvu_interp", "fvu_extrap",
+            "epsilon_stationary", "epsilon_status",
+            "interp_start_over_omega_inv", "interp_end_over_omega_inv",
+            "extrap_start_over_omega_inv", "extrap_end_over_omega_inv",
+            "a", "b", "tau_over_omega_inv", "n_initial_conditions"]
+    vals = [report.i_err_interp, report.i_err_extrap, report.fvu_interp,
+            report.fvu_extrap, report.epsilon_stationary,
+            report.epsilon_status,
+            report.interp_window[0], report.interp_window[1],
+            report.extrap_window[0], report.extrap_window[1],
+            report.a, report.b,
+            "" if report.tau is None else report.tau,
+            report.n_initial_conditions]
+    with open(path, "w") as fh:
+        fh.write(",".join(head) + "\n")
+        fh.write(",".join(_csv_cell_reference(v) for v in vals) + "\n")
+
+
+def _write_scan_csv_cell_reference(path, rows):
+    """Reference writer: one formatting call per cell."""
+    with open(path, "w") as fh:
+        fh.write("axis1,axis2,i_err_interp,i_err_extrap,fvu_interp,"
+                 "fvu_extrap,epsilon,status\n")
+        for row in rows:
+            fh.write(",".join(_csv_cell_reference(v) for v in row) + "\n")
+
+
+@pytest.mark.parametrize("tau,status", [(None, "no_gap"), (7.25, "ok"),
+                                        (np.float64(1 / 3), "window_budget_exceeded")])
+def test_eval_report_csv_matches_cell_reference(tmp_path, tau, status):
+    # config numbers arrive as JSON ints or floats; both must print the same
+    report = ErrorReport(
+        i_err_interp=0.1234567890123456789, i_err_extrap=math.nan,
+        fvu_interp=5e-324, fvu_extrap=-0.0,
+        epsilon_stationary=math.nan if status != "ok" else 1.5e300,
+        interp_window=(0.0, 5), extrap_window=(5, 10.0), a=5, b=10.0,
+        tau=tau, n_initial_conditions=2, epsilon_status=status)
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    _write_report_csv(new, report)
+    _write_report_csv_cell_reference(ref, report)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_scan_csv_matches_reference_and_threads(tmp_path, monkeypatch):
+    # int and float values on the axis, two ok cells and one failed cell
+    over = {"scan": {"axis1_name": "beta", "axis1_values": [0, 0.5, -1],
+                     "axis2_name": "V_prime", "axis2_values": [0.3]},
+            "training": {"epochs": 0},
+            "metrics": {"n_initial_conditions": 1, "max_window_steps": 500}}
+    cfg = load_config(_write_config(tmp_path, over))
+    rows = []
+    real_cell = cli._scan_cell
+
+    def recording_cell(args):
+        rows.append(real_cell(args))
+        return rows[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_scan_cell", recording_cell)
+        seq_csv = cmd_scan(cfg, str(tmp_path / "seq"), threads=1)
+    assert [r[-1] for r in rows[:2]] == ["ok", "ok"]
+    assert rows[2][-1].startswith("failed: ValueError")
+    ref = tmp_path / "ref.csv"
+    _write_scan_csv_cell_reference(ref, rows)
+    assert open(seq_csv, "rb").read() == ref.read_bytes()
+
+    cmd_scan(cfg, str(tmp_path / "par"), threads=2)
+    seq_files = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "seq")
+                       for d, _, fs in os.walk(tmp_path / "seq") for f in fs)
+    par_files = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "par")
+                       for d, _, fs in os.walk(tmp_path / "par") for f in fs)
+    assert seq_files == par_files and "scan/scan_results.csv" in seq_files
+    for name in seq_files:
+        a = (tmp_path / "seq" / name).read_bytes()
+        assert a == (tmp_path / "par" / name).read_bytes(), name
 
 
 def test_eval_flags_missing_extrapolation(tmp_path):
@@ -429,6 +521,11 @@ def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
         "omega_str", "n_sites_float"])
 def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
     cfg_path = _write_config(tmp_path, overrides)
+    _assert_config_refused(tmp_path, capsys, cfg_path)
+
+
+def _assert_config_refused(tmp_path, capsys, cfg_path):
+    """gen-data exits 1 with one JSON ConfigError line and writes nothing."""
     rc = main(["--config", cfg_path, "--out", str(tmp_path / "run"), "gen-data"])
     captured = capsys.readouterr()
     assert rc == 1
@@ -437,6 +534,26 @@ def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
     assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("block,value", [
+    (None, 5),
+    (None, None),
+    ("simulation", [1, 2]),
+    ("model", 3),
+    ("scan", {"axis1_name": "beta", "axis1_values": 0.5,
+              "axis2_name": "V_prime", "axis2_values": [0.3]}),
+    ("paths", {"data_dir": 5}),
+    ("model", dict(TINY["model"], subsystem_sites=None)),
+    ("simulaton", {"dt": 0.1}),
+], ids=["config_int", "config_null", "simulation_list", "model_int",
+        "axis_values_scalar", "data_dir_int", "subsystem_sites_null",
+        "unknown_block"])
+def test_main_refuses_malformed_config(tmp_path, capsys, block, value):
+    raw = value if block is None else dict(TINY, **{block: value})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    _assert_config_refused(tmp_path, capsys, str(cfg_path))
 
 
 def test_main_seed_override_changes_data(tmp_path):

@@ -90,6 +90,23 @@ def test_coherence_to_matrix_batched(basis2, rng):
     np.testing.assert_allclose(mats[2, 1], one, atol=1e-15)
 
 
+def test_rho_to_coherence_batched(basis2, rng):
+    rhos = np.array([[ginibre_density_matrix(4, rng) for _ in range(3)]
+                     for _ in range(2)])
+    vs = rho_to_coherence(rhos, basis2)
+    assert vs.shape == (2, 3, 16) and vs.dtype == np.float64
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_allclose(vs[i, j], rho_to_coherence(rhos[i, j], basis2),
+                                       atol=1e-15)
+    np.testing.assert_array_equal(vs[..., -1], 0.5)
+    rhos[1, 2, 0, 1] += 0.1  # one non-Hermitian member fails the whole batch
+    with pytest.raises(ValueError):
+        rho_to_coherence(rhos, basis2)
+    with pytest.raises(ValueError):
+        rho_to_coherence(np.zeros((3, 2, 2)), basis2)
+
+
 def test_rho_to_coherence_rejects_non_hermitian(basis1):
     bad = np.array([[0.5, 0.9], [0.1, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
