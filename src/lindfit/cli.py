@@ -6,6 +6,12 @@ generation (`gen-data`), generator fitting (`train`), fidelity evaluation
 (`stationary`) and model inspection (`interpret`).  Every command is a pure
 function of (config, input files, seed); all emitted times are in units of
 1/omega.
+
+`train` and `eval` share their fitting and evaluation with `scan`, whose
+pool tasks each take a group of cells: a group generates its trajectories
+in memory (writing the files `gen-data` writes), trains its cells in
+lockstep and evaluates them from memory, so its files are those of
+per-cell `gen-data`, `train` and `eval` runs.
 """
 
 import argparse
@@ -204,6 +210,12 @@ def _write_json(path, obj):
 
 def cmd_gen_data(cfg, out, threads=1):
     """Write train/eval trajectory files and a deterministic manifest."""
+    return _gen_data(cfg, out, threads)[0]
+
+
+def _gen_data(cfg, out, threads=1):
+    """Write what cmd_gen_data writes; returns the manifest path and the
+    trajectories, training ones first."""
     dirs = _dirs(cfg, out)
     sim = cfg.simulation
     n_steps = int(round(sim.T_extrapolate / sim.dt))
@@ -213,18 +225,19 @@ def cmd_gen_data(cfg, out, threads=1):
     jobs = [(cfg.model, sim.dt, n_steps, derive_seed(sim.seed, role, i),
              os.path.join(dirs["data"], name), sim.max_sites)
             for role, names in files.items() for i, name in enumerate(names)]
-    _map(_gen_worker, jobs, threads)
+    trajectories = _map(_gen_worker, jobs, threads)
     mpath = os.path.join(dirs["data"], "manifest.json")
     _write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
                         "train_files": files["train"],
                         "eval_files": files["eval"]})
-    return mpath
+    return mpath, trajectories
 
 
 def _gen_worker(job):
     model, dt, n_steps, seed, path, max_sites = job
-    save_trajectory(path, generate_trajectory(model, dt, n_steps, seed,
-                                              max_sites=max_sites))
+    traj = generate_trajectory(model, dt, n_steps, seed, max_sites=max_sites)
+    save_trajectory(path, traj)
+    return traj
 
 
 def _load_manifest(manifest_path):
@@ -232,36 +245,96 @@ def _load_manifest(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path}: manifest must be a JSON object, "
+                          f"got {type(manifest).__name__}")
+    for key in ("train_files", "eval_files"):
+        names = manifest.get(key)
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise ConfigError(f"{manifest_path}: {key} must be a list of "
+                              f"file names, got {names!r}")
     return manifest, os.path.dirname(manifest_path)
+
+
+def _check_eval_files(names, manifest_path):
+    if not names:
+        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
+                          "set simulation.n_eval_trajectories >= 1")
+
+
+def _cellwise(fn, *columns):
+    """[fn(*args) for args in zip(*columns)], one cell at a time.
+
+    Where an argument is an exception, or the call raises one, that
+    exception is the cell's result, so one cell's failure stops only that
+    cell.
+    """
+    results = []
+    for args in zip(*columns):
+        result = next((a for a in args if isinstance(a, Exception)), None)
+        if result is None:
+            try:
+                result = fn(*args)
+            except Exception as exc:  # the cell's outcome, reported by the caller
+                result = exc
+        results.append(result)
+    return results
 
 
 def cmd_train(cfg, manifest_path, out):
     """Fit a generator on the manifest's training files, t <= T_train."""
     dirs = _dirs(cfg, out)
     manifest, data_dir = _load_manifest(manifest_path)
+    trajs = [load_trajectory(os.path.join(data_dir, name))
+             for name in manifest["train_files"]]
+    fit = _fit(cfg.training, [(cfg, dirs, trajs)])[0]
+    if isinstance(fit, Exception):
+        raise fit
+    return fit[0]
+
+
+def _fit(training, cells):
+    """Train the generators of (cfg, dirs, training trajectories) cells in
+    lockstep and write each cell's model, checkpoint and loss curves.
+
+    Each cell keeps its trajectories up to T_train, split by whole
+    trajectories with its own split seed.  Returns, per cell, (model path,
+    parameters) or the exception that stopped the cell; a cell given as an
+    exception stays one.
+    """
+    datasets = _cellwise(_dataset, cells)
+    trained = iter(train(training, [ds for ds in datasets
+                                    if not isinstance(ds, Exception)]))
+    results = [ds if isinstance(ds, Exception) else next(trained)
+               for ds in datasets]
+    return _cellwise(_save_fit, cells, results)
+
+
+def _dataset(cell):
+    cfg, _, trajs = cell[:3]
     sim = cfg.simulation
     keep = int(round(sim.T_train / sim.dt)) + 1
-    trajs = []
-    for name in manifest["train_files"]:
-        traj = load_trajectory(os.path.join(data_dir, name))
-        trajs.append(Trajectory(model=traj.model, dt=traj.dt,
-                                snapshots=traj.snapshots[:keep],
-                                seed=traj.seed))
     split_rng = np.random.default_rng(derive_seed(sim.seed, "split"))
-    ds = build_dataset(trajs, split_fraction=0.8, rng=split_rng)
-    result = train(cfg.training, ds)
+    return build_dataset([replace(t, snapshots=t.snapshots[:keep]) for t in trajs],
+                         split_fraction=0.8, rng=split_rng)
+
+
+def _save_fit(cell, result):
+    cfg, dirs = cell[:2]
     basis = build_pauli_basis(2)
+    dt = cfg.simulation.dt
     model_path = os.path.join(dirs["model"], "model.json")
-    save_model(model_path, result.params, basis, sim.dt,
+    save_model(model_path, result.params, basis, dt,
                extra={"final_train_loss": result.train_history[-1],
                       "final_val_loss": result.val_history[-1]})
     save_checkpoint(os.path.join(dirs["model"], "checkpoint.json"),
                     result.params, result.final_state,
                     result.train_history, result.val_history,
-                    sim.dt, basis.convention_id)
+                    dt, basis.convention_id)
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
                      result.train_history, result.val_history)
-    return model_path
+    return model_path, result.params
 
 
 def _window_view(traj, t_lo, t_hi):
@@ -301,20 +374,24 @@ def _epsilon_pipeline(cfg, L):
 def cmd_eval(cfg, model_path, manifest_path, out):
     """Fidelity report for a learned model against the eval trajectories."""
     manifest, data_dir = _load_manifest(manifest_path)
-    if not manifest["eval_files"]:
-        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
-                          "set simulation.n_eval_trajectories >= 1")
+    _check_eval_files(manifest["eval_files"], manifest_path)
     dirs = _dirs(cfg, out)
     params, basis, model_dt, _ = load_model(model_path)
-    sim, met = cfg.simulation, cfg.metrics
-    if abs(model_dt - sim.dt) > 1e-12:
-        raise ConfigError(f"model dt={model_dt} differs from config dt={sim.dt}")
-    L = assemble_generator(params, basis)
+    if abs(model_dt - cfg.simulation.dt) > 1e-12:
+        raise ConfigError(f"model dt={model_dt} differs from config "
+                          f"dt={cfg.simulation.dt}")
+    exact = [load_trajectory(os.path.join(data_dir, name))
+             for name in manifest["eval_files"]]
+    return _evaluate(cfg, assemble_generator(params, basis), exact, dirs)
 
+
+def _evaluate(cfg, L, exact_trajectories, dirs):
+    """Write the time series and eval report of generator L against the
+    exact trajectories; returns the report."""
+    sim, met = cfg.simulation, cfg.metrics
     notes = {}
     ie_i, ie_e, fv_i, fv_e = [], [], [], []
-    for idx, name in enumerate(manifest["eval_files"]):
-        exact = load_trajectory(os.path.join(data_dir, name))
+    for idx, exact in enumerate(exact_trajectories):
         t_end = exact.dt * (exact.snapshots.shape[0] - 1)
         pred = Trajectory(model=exact.model, dt=exact.dt,
                           snapshots=propagate_trajectory(
@@ -386,29 +463,62 @@ def _cell_dir_name(a1, v1, a2, v2):
 
 
 def _scan_cell(args):
-    cfg, v1, v2, out = args
+    """Pool task: gen-data, train and eval for one group of scan cells.
+
+    Each cell's trajectories are generated in memory and written as
+    gen-data writes them, the group is trained in lockstep, and each cell
+    is evaluated from memory, so the files are those of per-cell gen-data,
+    train and eval runs.  Returns one result row per cell; a cell that
+    raised gets a failed row and the others go on.
+    """
+    cfg, values, out = args
+    cells = _cellwise(lambda v: _scan_setup(cfg, *v, out), values)
+    fits = _fit(cfg.training, cells)
+    reports = _cellwise(_scan_eval, cells, fits)
+    rows = []
+    for (v1, v2), report in zip(values, reports):
+        if isinstance(report, Exception):
+            msg = f"failed: {type(report).__name__}: {report}"
+            msg = msg.replace(",", ";").replace("\n", " ")[:200]
+            rows.append((v1, v2, math.nan, math.nan, math.nan, math.nan,
+                         math.nan, msg))
+        else:
+            rows.append((v1, v2, report.i_err_interp, report.i_err_extrap,
+                         report.fvu_interp, report.fvu_extrap,
+                         report.epsilon_stationary, "ok"))
+    return rows
+
+
+def _scan_setup(cfg, v1, v2, out):
+    """A cell's config and directories, and its trajectories written as
+    gen-data writes them: (cfg, dirs, train, eval, manifest path)."""
     a1, a2 = cfg.scan.axis1_name, cfg.scan.axis2_name
-    try:
-        cell_model = replace(cfg.model, **{a1: v1, a2: v2})
-        cell_seed = derive_seed(cfg.simulation.seed, "cell", a1, repr(v1),
-                                a2, repr(v2))
-        cell_cfg = replace(cfg, model=cell_model,
-                           simulation=replace(cfg.simulation, seed=cell_seed))
-        cell_out = os.path.join(out, "scan", _cell_dir_name(a1, v1, a2, v2))
-        manifest = cmd_gen_data(cell_cfg, cell_out)
-        model_path = cmd_train(cell_cfg, manifest, cell_out)
-        report = cmd_eval(cell_cfg, model_path, manifest, cell_out)
-        return (v1, v2, report.i_err_interp, report.i_err_extrap,
-                report.fvu_interp, report.fvu_extrap,
-                report.epsilon_stationary, "ok")
-    except Exception as exc:  # cell failures recorded, scan continues
-        msg = f"failed: {type(exc).__name__}: {exc}"
-        msg = msg.replace(",", ";").replace("\n", " ")[:200]
-        return (v1, v2, math.nan, math.nan, math.nan, math.nan, math.nan, msg)
+    cell_model = replace(cfg.model, **{a1: v1, a2: v2})
+    cell_seed = derive_seed(cfg.simulation.seed, "cell", a1, repr(v1),
+                            a2, repr(v2))
+    cell_cfg = replace(cfg, model=cell_model,
+                       simulation=replace(cfg.simulation, seed=cell_seed))
+    cell_out = os.path.join(out, "scan", _cell_dir_name(a1, v1, a2, v2))
+    mpath, trajs = _gen_data(cell_cfg, cell_out)
+    n_train = cell_cfg.simulation.n_trajectories
+    return (cell_cfg, _dirs(cell_cfg, cell_out), trajs[:n_train],
+            trajs[n_train:], mpath)
+
+
+def _scan_eval(cell, fit):
+    cfg, dirs, _, exact, mpath = cell
+    _check_eval_files(exact, mpath)
+    return _evaluate(cfg, assemble_generator(fit[1], build_pauli_basis(2)),
+                     exact, dirs)
 
 
 def cmd_scan(cfg, out, threads=1):
-    """Run gen-data -> train -> eval over the two configured parameter axes."""
+    """Run gen-data -> train -> eval over the two configured parameter axes.
+
+    The cells are split into `threads` contiguous groups, one pool task
+    each, and a group's cells train in lockstep; a cell's results do not
+    depend on its group.
+    """
     scan = cfg.scan
     allowed = _SCAN_AXES[cfg.model.variant]
     for name in (scan.axis1_name, scan.axis2_name):
@@ -417,9 +527,11 @@ def cmd_scan(cfg, out, threads=1):
                               f"variant {cfg.model.variant}")
     if not scan.axis1_values or not scan.axis2_values:
         raise ConfigError("scan requires nonempty axis value lists")
-    cells = [(cfg, v1, v2, out) for v1 in scan.axis1_values
-             for v2 in scan.axis2_values]
-    rows = _map(_scan_cell, cells, threads)
+    values = [(v1, v2) for v1 in scan.axis1_values for v2 in scan.axis2_values]
+    n_groups = max(1, min(threads, len(values)))
+    bounds = [len(values) * g // n_groups for g in range(n_groups + 1)]
+    groups = [(cfg, values[lo:hi], out) for lo, hi in zip(bounds, bounds[1:])]
+    rows = [row for group in _map(_scan_cell, groups, n_groups) for row in group]
     os.makedirs(os.path.join(out, "scan"), exist_ok=True)
     csv_path = os.path.join(out, "scan", "scan_results.csv")
     _write_csv(csv_path, ["axis1", "axis2", "i_err_interp", "i_err_extrap",

@@ -33,10 +33,17 @@ L_f(A^T, .), and L_f(A^T, M_bar) is the top-right block of f applied to the
 block matrix [[A^T, M_bar], [0, A^T]] (Al-Mohy & Higham, SIAM J. Matrix
 Anal. Appl. 30(4), 2009).  Evaluated with the same m and s, it gives
 gradients that are exact for the function actually computed.
+
+Parameters, assembly, the propagator and its adjoint also take stacks
+(leading axes, one entry per cell trained in lockstep).  Each generator of
+a stack keeps its own Taylor plan, the stack is evaluated in groups of
+equal plan, and every matrix goes through the same products it would take
+alone, so its result does not depend on the rest of the stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,7 +65,9 @@ class GeneratorParams:
 
     They are stored as one flat vector theta = (omega, vec X, vec Y), rows
     of X and Y in order; omega, X and Y are views into theta, so writing
-    through them changes theta.
+    through them changes theta.  theta may carry leading axes, one per
+    stacked parameter set (shape (C, n + 2n^2) for C cells trained in
+    lockstep); omega, X and Y then carry the same leading axes.
     """
 
     def __init__(self, omega, X, Y):
@@ -71,7 +80,8 @@ class GeneratorParams:
 
     @classmethod
     def from_theta(cls, theta: np.ndarray) -> "GeneratorParams":
-        """Wrap a flat vector of n + 2n^2 parameters without copying it."""
+        """Wrap a flat vector of n + 2n^2 parameters, or a stack of them,
+        without copying it."""
         params = cls.__new__(cls)
         params.theta = theta
         return params
@@ -89,22 +99,22 @@ class GeneratorParams:
 
     @property
     def n(self) -> int:
-        # theta holds n + 2n^2 entries
-        return (math.isqrt(8 * self.theta.size + 1) - 1) // 4
+        # theta holds n + 2n^2 entries per parameter set
+        return (math.isqrt(8 * self.theta.shape[-1] + 1) - 1) // 4
 
     @property
     def omega(self) -> np.ndarray:
-        return self.theta[:self.n]
+        return self.theta[..., :self.n]
 
     @property
     def X(self) -> np.ndarray:
         n = self.n
-        return self.theta[n:n + n * n].reshape(n, n)
+        return self.theta[..., n:n + n * n].reshape(self.theta.shape[:-1] + (n, n))
 
     @property
     def Y(self) -> np.ndarray:
         n = self.n
-        return self.theta[n + n * n:].reshape(n, n)
+        return self.theta[..., n + n * n:].reshape(self.theta.shape[:-1] + (n, n))
 
 
 @dataclass
@@ -140,13 +150,16 @@ class JumpDecomposition:
 
 
 def kossakowski_from_factors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """c = (X - iY)^T (X + iY); Hermitian PSD by construction."""
+    """c = (X - iY)^T (X + iY); Hermitian PSD by construction.
+
+    X and Y may be stacks (..., n, n); c is then one matrix per stack entry.
+    """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
+    if X.shape != Y.shape or X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"factor shapes {X.shape}, {Y.shape} must be equal and square")
     z = X + 1.0j * Y
-    return z.conj().T @ z
+    return z.conj().swapaxes(-1, -2) @ z
 
 
 def _hamiltonian_superop(H: np.ndarray) -> np.ndarray:
@@ -223,10 +236,17 @@ def precompute_dissipator_tensors(basis: BasisSet) -> np.ndarray:
 
 
 def _generator(params: GeneratorParams, tensors: np.ndarray) -> np.ndarray:
-    """L from (omega, X, Y) through the assembly map; see assemble_generator."""
+    """L from (omega, X, Y) through the assembly map; see assemble_generator.
+
+    A stack of parameter sets gives a stack of generators, each from the
+    same vector-matrix product a lone set takes.
+    """
+    lead = params.theta.shape[:-1]
+    n = params.n
     c = kossakowski_from_factors(params.X, params.Y)
-    coeffs = np.concatenate((params.omega, c.real.ravel(), c.imag.ravel()))
-    return (coeffs @ tensors).reshape(params.n + 1, params.n + 1)
+    coeffs = np.concatenate((params.omega, c.real.reshape(lead + (n * n,)),
+                             c.imag.reshape(lead + (n * n,))), axis=-1)
+    return (coeffs[..., None, :] @ tensors).reshape(lead + (n + 1, n + 1))
 
 
 def assemble_generator(params: GeneratorParams, basis: BasisSet,
@@ -271,19 +291,27 @@ _PS_COEFFICIENTS = {m: _ps_coefficients(m) for m in _TAYLOR_DEGREES}
 class _ExpmCache:
     """What propagate_backward needs from one propagate_with_cache call.
 
-    A is dt L; terms holds the m + 1 Taylor coefficients of the chosen
-    degree m and squares the s matrices that were squared.
+    A is dt L, one matrix or a stack; groups lists (indices, m, s) for the
+    matrices that share each Taylor plan, largest plan last.  terms holds
+    the m + 1 Taylor coefficients and squares the s matrices that were
+    squared of that largest plan, which is the only one unless a stack
+    mixes plans.
     """
 
     A: np.ndarray
+    groups: list
     terms: np.ndarray
     squares: list
 
 
-def _taylor_plan(A: np.ndarray):
-    """Degree m and scaling s for A, from its 1-norm."""
-    norm = np.abs(A).sum(axis=0).max()
-    if not np.isfinite(norm):
+def _one_norms(A: np.ndarray) -> np.ndarray:
+    """The 1-norm of A, or of each matrix of a stack (..., d, d)."""
+    return np.abs(A).sum(axis=-2).max(axis=-1)
+
+
+def _taylor_plan(norm: float):
+    """Degree m and scaling s for a matrix of 1-norm `norm`."""
+    if not math.isfinite(norm):
         raise ValueError("non-finite generator entries")
     for m, theta in zip(_TAYLOR_DEGREES, _TAYLOR_THETA):
         if norm <= theta:
@@ -291,19 +319,50 @@ def _taylor_plan(A: np.ndarray):
     return _TAYLOR_DEGREES[-1], math.ceil(math.log2(norm / _TAYLOR_THETA[-1]))
 
 
+def _plan_groups(A: np.ndarray) -> list:
+    """[(indices, m, s)] for the matrices of A, one matrix or a stack
+    (C, d, d), that share each Taylor plan, largest plan last; the indices
+    are slice(None) when all share one plan."""
+    norms = np.ravel(_one_norms(A)).tolist()
+    if len(norms) == 1:
+        return [(slice(None), *_taylor_plan(norms[0]))]
+    groups = {}
+    for k, norm in enumerate(norms):
+        groups.setdefault(_taylor_plan(norm), []).append(k)
+    if len(groups) == 1:
+        return [(slice(None), *next(iter(groups)))]
+    return [(idx, m, s) for (m, s), idx in sorted(groups.items())]
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
+
+
 def _taylor(A: np.ndarray, m: int, s: int):
-    """p_m(A / 2^s)^(2^s); returns it and the s matrices that were squared."""
+    """p_m(A / 2^s)^(2^s); returns it and the s matrices that were squared.
+
+    A may be a stack (C, d, d).  Every matrix of it goes through the same
+    products it would take alone, so its result does not depend on the
+    others.
+    """
     C = _PS_COEFFICIENTS[m]
     q = C.shape[1] - 1
+    d = A.shape[-1]
+    lead = A.shape[:-2]
     powers = np.empty((q + 1,) + A.shape)
-    powers[0] = np.eye(A.shape[0])
+    powers[0] = _identity(d)
     powers[1] = A / 2.0 ** s if s else A
     for k in range(2, q + 1):
         np.matmul(powers[1], powers[k - 1], out=powers[k])
-    blocks = (C @ powers.reshape(q + 1, -1)).reshape((-1,) + A.shape)
-    P = blocks[-1]
-    for B in blocks[-2::-1]:
-        P = B + powers[q] @ P
+    # per matrix, every coefficient block from one small product
+    blocks = (C @ powers.reshape((q + 1,) + lead + (d * d,)).swapaxes(0, -2)
+              ).reshape(lead + (-1, d, d))
+    P = blocks[..., -1, :, :]
+    for j in range(blocks.shape[-3] - 2, -1, -1):
+        P = blocks[..., j, :, :] + powers[q] @ P
     squares = []
     for _ in range(s):
         squares.append(P)
@@ -311,18 +370,36 @@ def _taylor(A: np.ndarray, m: int, s: int):
     return P, squares
 
 
+def _taylor_groups(A: np.ndarray, groups: list):
+    """_taylor of every matrix of A on its group's plan; returns the result
+    and the squared matrices of the last group."""
+    if len(groups) == 1:
+        return _taylor(A, *groups[0][1:])
+    out = np.empty_like(A)
+    for idx, m, s in groups:
+        out[idx], squares = _taylor(A[idx], m, s)
+    return out, squares
+
+
 def propagate(L: np.ndarray, dt: float) -> np.ndarray:
-    """Propagator M = exp(dt L).  Preserves the identity row exactly."""
+    """Propagator M = exp(dt L).  Preserves the identity row exactly.
+
+    L may be a stack of generators (C, d, d), with one dt or an array of C
+    of them shaped (C, 1, 1); each takes its own Taylor plan, so its
+    propagator is the one a lone call gives.
+    """
     A = dt * np.asarray(L, dtype=float)
-    return _taylor(A, *_taylor_plan(A))[0]
+    return _taylor_groups(A, _plan_groups(A))[0]
 
 
 def propagate_with_cache(L: np.ndarray, dt: float):
     """Like propagate, but returns the intermediates for reverse mode."""
     A = dt * np.asarray(L, dtype=float)
-    m, s = _taylor_plan(A)
-    M, squares = _taylor(A, m, s)
-    return M, _ExpmCache(A=A, terms=_TAYLOR_COEFFICIENTS[:m + 1], squares=squares)
+    groups = _plan_groups(A)
+    M, squares = _taylor_groups(A, groups)
+    return M, _ExpmCache(A=A, groups=groups,
+                         terms=_TAYLOR_COEFFICIENTS[:groups[-1][1] + 1],
+                         squares=squares)
 
 
 def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.ndarray:
@@ -330,14 +407,15 @@ def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.nd
 
     dt times the top-right block of the forward polynomial, same degree and
     scaling, evaluated on [[A^T, M_bar], [0, A^T]]; exact for the forward
-    truncation.
+    truncation.  Each matrix of a stack keeps its forward plan.
     """
-    n = cache.A.shape[0]
-    Z = np.zeros((2 * n, 2 * n))
-    Z[:n, :n] = Z[n:, n:] = cache.A.T
-    Z[:n, n:] = M_bar
-    F, _ = _taylor(Z, len(cache.terms) - 1, len(cache.squares))
-    return dt * F[:n, n:]
+    A = cache.A
+    n = A.shape[-1]
+    Z = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
+    Z[..., :n, :n] = Z[..., n:, n:] = A.swapaxes(-1, -2)
+    Z[..., :n, n:] = M_bar
+    F, _ = _taylor_groups(Z, cache.groups)
+    return dt * F[..., :n, n:]
 
 
 def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:

@@ -19,7 +19,6 @@ n_i = (1+sigma_z_i)/2 takes value 1 - bit_i on a computational basis state.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -218,16 +217,30 @@ class Trajectory:
 _PHASE_CHUNK_ELEMS = 500_000
 
 
-@lru_cache(maxsize=4)
+# eigensystems kept for reuse, least recently used first; the oldest are
+# dropped while the kept ones take more than this many bytes, so a scan
+# worker keeps every cell's small chain between gen-data and eval while a
+# large chain keeps only itself
+_EIG_CACHE_BYTES = 128 << 20
+_EIG_CACHE = {}
+
+
 def _chain_eigensystem(model):
     """Cached (eigenvalues, subsystem-resolved eigenvectors, real bath state)."""
-    n = model.n_sites
-    w, U = np.linalg.eigh(model_hamiltonian(model))
-    sa, sb = model.subsystem_sites
-    m = 1 << n
-    R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
-    R = np.ascontiguousarray(R.reshape(4, m // 4, m))
-    return w, R, np.ascontiguousarray(bath_thermal_state(model).real)
+    hit = _EIG_CACHE.pop(model, None)
+    if hit is None:
+        n = model.n_sites
+        w, U = np.linalg.eigh(model_hamiltonian(model))
+        sa, sb = model.subsystem_sites
+        m = 1 << n
+        R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
+        R = np.ascontiguousarray(R.reshape(4, m // 4, m))
+        hit = w, R, np.ascontiguousarray(bath_thermal_state(model).real)
+    _EIG_CACHE[model] = hit
+    while (len(_EIG_CACHE) > 1 and _EIG_CACHE_BYTES <
+           sum(a.nbytes for entry in _EIG_CACHE.values() for a in entry)):
+        del _EIG_CACHE[next(iter(_EIG_CACHE))]
+    return hit
 
 
 def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,

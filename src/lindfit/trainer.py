@@ -8,6 +8,12 @@ forward pass uses.  Optimization is plain Adam on the flat parameter
 vector with fixed hyperparameters; batches are drawn uniformly with
 replacement.
 
+train runs C problems in lockstep: parameters, Adam moments and batches
+carry a leading cell axis, and each step is one loss_and_gradient and one
+adam_step over all cells.  Cells are grouped by Taylor plan and every
+matrix product is the one a lone cell takes, so a cell's result does not
+depend on the cells trained beside it; a single problem is C = 1.
+
 Trajectories are split into training and validation sets as whole
 trajectories, never snapshot-wise, so validation measures generalization
 to unseen initial conditions.
@@ -15,7 +21,8 @@ to unseen initial conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +87,6 @@ class TrainResult:
     params: GeneratorParams
     train_history: list
     val_history: list
-    checkpoints: list = field(default_factory=list)
     final_state: AdamState = None
 
 
@@ -135,21 +141,45 @@ def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarr
 
     tensors is the assembly map G of precompute_dissipator_tensors; G times
     dLoss/dL gives the gradient with respect to (omega, Re c, Im c).
-    """
-    B = v_in.shape[1]
-    M, cache = propagate_with_cache(_generator(params, tensors), dt)
-    resid = M @ v_in - v_out
-    loss = float((resid * resid).sum() / B)
 
-    L_bar = propagate_backward(cache, (2.0 / B) * (resid @ v_in.T), dt)
-    n = params.n
-    g = tensors @ L_bar.ravel()
-    r_bar = g[n:n + n * n].reshape(n, n)
-    i_bar = g[n + n * n:].reshape(n, n)
-    sym = r_bar + r_bar.T
-    anti = i_bar - i_bar.T
-    X, Y = params.X, params.Y
-    return loss, GeneratorParams(g[:n], X @ sym - Y @ anti, Y @ sym + X @ anti)
+    For C cells at once, params.theta has shape (C, n + 2n^2), v_in and
+    v_out hold the cells' equal batches side by side (cell c in columns
+    c*B to (c+1)*B - 1), dt is one time step or C of them shaped
+    (C, 1, 1), and the loss is an array of C values.  Each cell's loss and
+    gradient come from the products a lone call makes, so they do not
+    depend on the other cells.
+    """
+    theta = params.theta
+    C = theta.shape[0] if theta.ndim == 2 else 1
+    d2, B = v_in.shape[0], v_in.shape[1] // C
+    if C == 1:
+        # one cell runs on plain matrices, which cost less per numpy call
+        lead, dt = (), np.reshape(dt, ())
+        cells = GeneratorParams.from_theta(theta.reshape(-1))
+    else:
+        lead, cells = (C,), params
+        v_in = v_in.reshape(d2, C, B).transpose(1, 0, 2)
+        v_out = v_out.reshape(d2, C, B).transpose(1, 0, 2)
+
+    M, cache = propagate_with_cache(_generator(cells, tensors), dt)
+    resid = M @ v_in - v_out
+    losses = (resid * resid).reshape(lead + (-1,)).sum(axis=-1) / B
+
+    M_bar = (2.0 / B) * (resid @ v_in.swapaxes(-1, -2))
+    L_bar = propagate_backward(cache, M_bar, dt)
+    n = cells.n
+    g = tensors @ L_bar.reshape(lead + (-1, 1))
+    r_bar = g[..., n:n + n * n, 0].reshape(lead + (n, n))
+    i_bar = g[..., n + n * n:, 0].reshape(lead + (n, n))
+    sym = r_bar + r_bar.swapaxes(-1, -2)
+    anti = i_bar - i_bar.swapaxes(-1, -2)
+    X, Y = cells.X, cells.Y
+    grads = np.concatenate((g[..., :n, 0],
+                            (X @ sym - Y @ anti).reshape(lead + (-1,)),
+                            (Y @ sym + X @ anti).reshape(lead + (-1,))), axis=-1)
+    if theta.ndim == 1:
+        return float(losses), GeneratorParams.from_theta(grads)
+    return losses.reshape(C), GeneratorParams.from_theta(grads.reshape(theta.shape))
 
 
 def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
@@ -164,7 +194,10 @@ def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
 
 def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
               config: TrainConfig):
-    """One bias-corrected Adam update of theta; returns fresh (state, params)."""
+    """One bias-corrected Adam update of theta; returns fresh (state, params).
+
+    Elementwise, so stacked parameter sets update as they would alone.
+    """
     t = state.step + 1
     b1, b2 = config.beta1, config.beta2
     g = grads.theta
@@ -177,52 +210,104 @@ def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
             GeneratorParams.from_theta(theta))
 
 
-def train(config: TrainConfig, dataset: Dataset) -> TrainResult:
-    """Run the full Adam loop; deterministic for a fixed seed.
+def train(config: TrainConfig, dataset):
+    """Run the Adam loop; deterministic for a fixed seed.
+
+    dataset is one Dataset, or a sequence of C datasets of one operator
+    dimension trained in lockstep.  Each cell draws its initialization and
+    batches from its own generator seeded with config.seed, and every step
+    is one loss_and_gradient and one adam_step over the cells still
+    training, so a cell ends bit for bit where it would alone.  A sequence
+    returns a list with each cell's TrainResult, or the exception that
+    stopped the cell (an empty training set, or a non-finite batch loss,
+    after which the other cells go on); a single Dataset returns its
+    TrainResult or raises that exception.
 
     Histories hold the loss over the complete training and validation
     sets, evaluated at initialization (epoch 0) and after every epoch.
-    A handful of parameter checkpoints is kept for physicality audits.
     """
-    d2 = dataset.train_in.shape[0]
+    single = isinstance(dataset, Dataset)
+    datasets = [dataset] if single else list(dataset)
+    results = [ValueError("empty training set") if ds.n_train_pairs == 0 else None
+               for ds in datasets]
+    live = [i for i, r in enumerate(results) if r is None]
+    if live:
+        _train_cells(config, [datasets[i] for i in live], live, results)
+    if single:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results
+
+
+def _train_cells(config, datasets, ids, results):
+    """The lockstep Adam loop of train over non-empty datasets; writes
+    results[ids[c]] for cell c."""
+    d2 = datasets[0].train_in.shape[0]
+    if any(ds.train_in.shape[0] != d2 for ds in datasets):
+        raise ValueError("datasets of different operator dimensions")
     basis = basis_for_dimension(int(round(np.sqrt(d2))))
     tensors = precompute_dissipator_tensors(basis)
     n = basis.n
-    rng = np.random.default_rng(config.seed)
-    params = GeneratorParams.random(n, config.init_scale, rng)
-    state = AdamState.zeros(n)
-    n_pairs = dataset.n_train_pairs
-    if n_pairs == 0:
-        raise ValueError("empty training set")
+    rngs = [np.random.default_rng(config.seed) for _ in datasets]
+    params = GeneratorParams.from_theta(np.stack(
+        [GeneratorParams.random(n, config.init_scale, rng).theta for rng in rngs]))
+    state = AdamState(m=GeneratorParams.from_theta(np.zeros_like(params.theta)),
+                      v=GeneratorParams.from_theta(np.zeros_like(params.theta)))
+    # one column (v_in; v_out) per training pair, cell after cell; cell
+    # c's columns start at offsets[c]
+    pairs = np.concatenate([np.concatenate((ds.train_in, ds.train_out))
+                            for ds in datasets], axis=1)
+    sizes = [ds.n_train_pairs for ds in datasets]
+    offsets = (np.cumsum(sizes) - sizes)[:, None]
+    dts = np.array([ds.dt for ds in datasets])[:, None, None]
+    histories = [([], []) for _ in datasets]
 
-    def full_loss(v_in, v_out):
-        if v_in.shape[1] == 0:
-            return float("nan")
-        return loss(params, v_in, v_out, dataset.dt, tensors)
+    def record():
+        for theta, ds, (train_h, val_h) in zip(params.theta, datasets, histories):
+            cell = GeneratorParams.from_theta(theta)
+            for v_in, v_out, history in ((ds.train_in, ds.train_out, train_h),
+                                         (ds.val_in, ds.val_out, val_h)):
+                history.append(float("nan") if v_in.shape[1] == 0 else
+                               loss(cell, v_in, v_out, ds.dt, tensors))
 
-    train_history = [full_loss(dataset.train_in, dataset.train_out)]
-    val_history = [full_loss(dataset.val_in, dataset.val_out)]
-    checkpoints = [(0, params.copy())]
-    mark_every = max(1, config.epochs // 4)
-
+    record()
+    idx = np.empty((len(datasets), config.batch_size), dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         for _ in range(config.batches_per_epoch):
-            idx = rng.integers(0, n_pairs, size=config.batch_size)
-            batch_loss, grads = loss_and_gradient(
-                params, dataset.train_in[:, idx], dataset.train_out[:, idx],
-                dataset.dt, tensors)
-            if not np.isfinite(batch_loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, step {state.step}: {batch_loss}")
+            for c, rng in enumerate(rngs):
+                idx[c] = rng.integers(0, sizes[c], size=config.batch_size)
+            batch = pairs[:, idx + offsets]
+            losses, grads = loss_and_gradient(
+                params, batch[:d2].reshape(d2, -1), batch[d2:].reshape(d2, -1),
+                dts, tensors)
+            bad = {c: x for c, x in enumerate(losses.tolist())
+                   if not math.isfinite(x)}
+            if bad:
+                for c, x in bad.items():
+                    results[ids[c]] = RuntimeError(
+                        f"non-finite loss at epoch {epoch}, step {state.step}: {x}")
+                keep = [c for c in range(len(ids)) if c not in bad]
+                if not keep:
+                    return
+                params, grads = (GeneratorParams.from_theta(p.theta[keep])
+                                 for p in (params, grads))
+                state = AdamState(m=GeneratorParams.from_theta(state.m.theta[keep]),
+                                  v=GeneratorParams.from_theta(state.v.theta[keep]),
+                                  step=state.step)
+                datasets, ids, rngs, histories, sizes = (
+                    [x[c] for c in keep] for x in (datasets, ids, rngs, histories, sizes))
+                offsets, dts, idx = offsets[keep], dts[keep], idx[keep]
             state, params = adam_step(state, params, grads, config)
-        train_history.append(full_loss(dataset.train_in, dataset.train_out))
-        val_history.append(full_loss(dataset.val_in, dataset.val_out))
-        if epoch % mark_every == 0 or epoch == config.epochs:
-            checkpoints.append((epoch, params.copy()))
+        record()
 
-    return TrainResult(params=params, train_history=train_history,
-                       val_history=val_history, checkpoints=checkpoints,
-                       final_state=state)
+    for c, (train_h, val_h) in enumerate(histories):
+        results[ids[c]] = TrainResult(
+            params=GeneratorParams.from_theta(params.theta[c].copy()),
+            train_history=train_h, val_history=val_h,
+            final_state=AdamState(m=GeneratorParams.from_theta(state.m.theta[c].copy()),
+                                  v=GeneratorParams.from_theta(state.v.theta[c].copy()),
+                                  step=state.step))
 
 
 def save_loss_curves(path, train_history, val_history) -> None:

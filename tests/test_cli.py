@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,37 +311,69 @@ def test_eval_report_csv_matches_cell_reference(tmp_path, tau, status):
 
 
 def test_scan_csv_matches_reference_and_threads(tmp_path, monkeypatch):
-    # int and float values on the axis, two ok cells and one failed cell
-    over = {"scan": {"axis1_name": "beta", "axis1_values": [0, 0.5, -1],
+    # int and float values on the axis, ok cells and one failed cell; the
+    # trained case puts two cells in each of the two thread groups
+    for epochs, betas in ((0, [0, 0.5, -1]), (2, [0, 0.5, -1, 0.25])):
+        run = tmp_path / f"epochs_{epochs}"
+        run.mkdir()
+        over = {"scan": {"axis1_name": "beta", "axis1_values": betas,
+                         "axis2_name": "V_prime", "axis2_values": [0.3]},
+                "training": {"epochs": epochs},
+                "metrics": {"n_initial_conditions": 1, "max_window_steps": 500}}
+        cfg = load_config(_write_config(run, over))
+        rows = []
+        real_cell = cli._scan_cell
+
+        def recording_cell(args):
+            rows.extend(real_cell(args))
+            return rows[-len(args[1]):]
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_scan_cell", recording_cell)
+            seq_csv = cmd_scan(cfg, str(run / "seq"), threads=1)
+        assert [r[-1] for r in rows[:2]] == ["ok", "ok"]
+        assert rows[2][-1].startswith("failed: ValueError")
+        ref = run / "ref.csv"
+        _write_scan_csv_cell_reference(ref, rows)
+        assert open(seq_csv, "rb").read() == ref.read_bytes()
+
+        cmd_scan(cfg, str(run / "par"), threads=2)
+        seq_files = sorted(os.path.relpath(os.path.join(d, f), run / "seq")
+                           for d, _, fs in os.walk(run / "seq") for f in fs)
+        par_files = sorted(os.path.relpath(os.path.join(d, f), run / "par")
+                           for d, _, fs in os.walk(run / "par") for f in fs)
+        assert seq_files == par_files and "scan/scan_results.csv" in seq_files
+        for name in seq_files:
+            a = (run / "seq" / name).read_bytes()
+            assert a == (run / "par" / name).read_bytes(), name
+
+
+def test_scan_cells_match_per_command_runs(tmp_path):
+    # a scan group trains its cells in lockstep and evaluates them from
+    # memory; each cell's files are those of gen-data, train and eval
+    over = {"scan": {"axis1_name": "beta", "axis1_values": [0.0, 0.5],
                      "axis2_name": "V_prime", "axis2_values": [0.3]},
-            "training": {"epochs": 0},
+            "training": {"epochs": 2},
             "metrics": {"n_initial_conditions": 1, "max_window_steps": 500}}
     cfg = load_config(_write_config(tmp_path, over))
-    rows = []
-    real_cell = cli._scan_cell
-
-    def recording_cell(args):
-        rows.append(real_cell(args))
-        return rows[-1]
-
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_scan_cell", recording_cell)
-        seq_csv = cmd_scan(cfg, str(tmp_path / "seq"), threads=1)
-    assert [r[-1] for r in rows[:2]] == ["ok", "ok"]
-    assert rows[2][-1].startswith("failed: ValueError")
-    ref = tmp_path / "ref.csv"
-    _write_scan_csv_cell_reference(ref, rows)
-    assert open(seq_csv, "rb").read() == ref.read_bytes()
-
-    cmd_scan(cfg, str(tmp_path / "par"), threads=2)
-    seq_files = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "seq")
-                       for d, _, fs in os.walk(tmp_path / "seq") for f in fs)
-    par_files = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "par")
-                       for d, _, fs in os.walk(tmp_path / "par") for f in fs)
-    assert seq_files == par_files and "scan/scan_results.csv" in seq_files
-    for name in seq_files:
-        a = (tmp_path / "seq" / name).read_bytes()
-        assert a == (tmp_path / "par" / name).read_bytes(), name
+    cmd_scan(cfg, str(tmp_path / "scan_run"))
+    for beta in (0.0, 0.5):
+        seed = derive_seed(cfg.simulation.seed, "cell", "beta", repr(beta),
+                           "V_prime", repr(0.3))
+        cell_cfg = replace(cfg, model=replace(cfg.model, beta=beta, V_prime=0.3),
+                           simulation=replace(cfg.simulation, seed=seed))
+        out = str(tmp_path / f"cell_{beta}")
+        mpath = cmd_gen_data(cell_cfg, out)
+        cmd_eval(cell_cfg, cmd_train(cell_cfg, mpath, out), mpath, out)
+        scan_dir = tmp_path / "scan_run" / "scan" / f"beta={beta:g}_V_prime=0.3"
+        files = sorted(os.path.relpath(os.path.join(d, f), out)
+                       for d, _, fs in os.walk(out) for f in fs)
+        assert files == sorted(os.path.relpath(os.path.join(d, f), scan_dir)
+                               for d, _, fs in os.walk(scan_dir) for f in fs)
+        assert "models/model.json" in files
+        for name in files:
+            assert open(os.path.join(out, name), "rb").read() == \
+                (scan_dir / name).read_bytes(), name
 
 
 def test_eval_flags_missing_extrapolation(tmp_path):
@@ -522,6 +555,26 @@ def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
 def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
     cfg_path = _write_config(tmp_path, overrides)
     _assert_config_refused(tmp_path, capsys, cfg_path)
+
+
+@pytest.mark.parametrize("command,manifest", [
+    ("train", ["train_000.csv"]),
+    ("train", {"train_files": "train_000.csv", "eval_files": []}),
+    ("train", {"train_files": ["train_000.csv", 3], "eval_files": []}),
+    ("eval", {"train_files": ["train_000.csv"]}),
+], ids=["list", "train_files_str", "train_files_int_entry", "eval_files_missing"])
+def test_main_refuses_malformed_manifest(tmp_path, capsys, command, manifest):
+    cfg_path = _write_config(tmp_path)
+    data = tmp_path / "run" / "data"
+    data.mkdir(parents=True)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["--config", cfg_path, "--out", str(tmp_path / "run"), command])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
 
 
 def _assert_config_refused(tmp_path, capsys, cfg_path):

@@ -435,3 +435,21 @@ def test_load_trajectory_rejects_other_basis_convention(tmp_path):
                                              "convention_id=some-other-basis-v9"))
     with pytest.raises(ValueError, match=f"'some-other-basis-v9', expected '{ours}'"):
         load_trajectory(path)
+
+
+def test_chain_eigensystem_cache_bounded_by_bytes(monkeypatch):
+    # small chains all stay cached; past the byte budget the least recently
+    # used go first, and the newest chain stays even when it alone is over
+    monkeypatch.setattr(mbs, "_EIG_CACHE", {})
+    models = [SpinChainModel("I", 4, 1.0, v, V_prime=0.2) for v in (0.1, 0.2, 0.3)]
+    first = [mbs._chain_eigensystem(m) for m in models]
+    assert all(mbs._chain_eigensystem(m) is e for m, e in zip(models, first))
+    size = sum(a.nbytes for a in first[0])
+    monkeypatch.setattr(mbs, "_EIG_CACHE_BYTES", 2 * size)
+    assert mbs._chain_eigensystem(models[0]) is first[0]
+    assert list(mbs._EIG_CACHE) == [models[2], models[0]]
+    monkeypatch.setattr(mbs, "_EIG_CACHE_BYTES", 0)
+    again = mbs._chain_eigensystem(models[1])
+    assert again is not first[1]
+    np.testing.assert_array_equal(again[0], first[1][0])
+    assert list(mbs._EIG_CACHE) == [models[1]]

@@ -1,9 +1,12 @@
-"""Dataset splitting, loss/gradient correctness, Adam, and checkpoints."""
+"""Dataset splitting, loss/gradient correctness, Adam, lockstep training,
+and checkpoints."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from lindfit import trainer
 
 from lindfit.lindblad_generator import (
     GeneratorParams,
@@ -206,8 +209,6 @@ def test_train_deterministic_and_histories():
     # training on clean synthetic data reduces the loss substantially
     assert a.train_history[-1] < a.train_history[0] / 10
     assert a.val_history[-1] < a.val_history[0] / 10
-    epochs_marked = [e for e, _ in a.checkpoints]
-    assert epochs_marked[0] == 0 and epochs_marked[-1] == cfg.epochs
     assert a.final_state.step == cfg.epochs * cfg.batches_per_epoch
 
 
@@ -217,6 +218,61 @@ def test_train_raises_on_non_finite_loss():
     ds = build_dataset([_traj(0.1, snaps)], split_fraction=1.0)
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
         train(TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4), ds)
+
+
+def _assert_same_result(a, b):
+    np.testing.assert_array_equal(a.params.theta, b.params.theta)
+    np.testing.assert_array_equal(a.final_state.m.theta, b.final_state.m.theta)
+    np.testing.assert_array_equal(a.final_state.v.theta, b.final_state.v.theta)
+    assert a.final_state.step == b.final_state.step
+    assert a.train_history == b.train_history
+    np.testing.assert_array_equal(a.val_history, b.val_history)
+
+
+def test_lockstep_cells_equal_lone_training(monkeypatch):
+    basis = build_pauli_basis(1)
+    # time steps 100x apart put the cells on different Taylor plans
+    datasets = [build_dataset(_synthetic_trajectories(
+        GeneratorParams.random(3, 0.5, np.random.default_rng(k)), basis, dt, 20, 4,
+        seed=k), split_fraction=0.75, rng=np.random.default_rng(k))
+        for k, dt in enumerate((0.01, 0.1, 1.0))]
+    cfg = TrainConfig(epochs=2, batch_size=16, batches_per_epoch=30,
+                      learning_rate=1e-2, init_scale=0.3, seed=4)
+    alone = [train(cfg, ds) for ds in datasets]
+    plans_per_step = []
+    real = trainer.propagate_with_cache
+
+    def recording(L, dt):
+        M, cache = real(L, dt)
+        plans_per_step.append(len(cache.groups))
+        return M, cache
+
+    monkeypatch.setattr(trainer, "propagate_with_cache", recording)
+    together = train(cfg, datasets)
+    assert max(plans_per_step) >= 2
+    assert len(plans_per_step) == cfg.epochs * cfg.batches_per_epoch
+    for a, b in zip(alone, together):
+        _assert_same_result(a, b)
+
+
+def test_lockstep_non_finite_cell_fails_alone():
+    basis = build_pauli_basis(1)
+    datasets = [build_dataset(_synthetic_trajectories(
+        GeneratorParams.random(3, 0.4, np.random.default_rng(k)), basis, 0.05, 30, 3,
+        seed=k), split_fraction=1.0) for k in range(3)]
+    # one poisoned pair: the middle cell fails at the first batch that draws it
+    datasets[1].train_out[:, 40] = np.inf
+    cfg = TrainConfig(epochs=3, batch_size=4, batches_per_epoch=20, seed=2)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError) as lone_failure:
+            train(cfg, datasets[1])
+        results = train(cfg, datasets)
+    assert isinstance(results[1], RuntimeError)
+    assert str(results[1]) == str(lone_failure.value)
+    assert str(results[1]).startswith("non-finite loss at epoch")
+    assert "step 0:" not in str(results[1])  # it failed mid-training
+    for k in (0, 2):
+        _assert_same_result(results[k], train(cfg, datasets[k]))
 
 
 def test_checkpoint_round_trip(tmp_path):
