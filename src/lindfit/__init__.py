@@ -3,7 +3,7 @@ subsystem of an exactly simulated interacting spin chain."""
 
 from .spin_algebra import (BasisSet, build_pauli_basis, basis_for_dimension,
                            rho_to_coherence, coherence_to_matrix,
-                           coherence_to_rho, ginibre_density_matrix)
+                           ginibre_density_matrix)
 from .lindblad_generator import (GeneratorParams, SpectralInfo,
                                  JumpDecomposition, kossakowski_from_factors,
                                  precompute_dissipator_tensors,
@@ -14,8 +14,7 @@ from .lindblad_generator import (GeneratorParams, SpectralInfo,
                                  save_model, load_model)
 from .trainer import (TrainConfig, Dataset, AdamState, TrainResult,
                       build_dataset, loss, loss_and_gradient,
-                      adam_step, train, save_loss_curves, save_checkpoint,
-                      load_checkpoint)
+                      adam_step, train, save_loss_curves, save_checkpoint)
 from .many_body_sim import (SpinChainModel, Trajectory, CapacityError,
                             model_hamiltonian, bath_sites,
                             build_bath_hamiltonian, bath_thermal_state,

@@ -193,11 +193,12 @@ def _map(fn, jobs, threads):
 
 def _write_csv(path, cols, rows):
     """Header plus one line per row: strings as they are, numbers at 17
-    significant digits."""
+    significant digits.  A column holds strings or numbers throughout, so
+    the first row sets the format of every row."""
     lines = [",".join(cols)]
-    for row in rows:
-        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
-        lines.append(fmt % tuple(row))
+    if rows:
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -213,9 +214,9 @@ def cmd_gen_data(cfg, out, threads=1):
     return _gen_data(cfg, out, threads)[0]
 
 
-def _gen_data(cfg, out, threads=1):
-    """Write what cmd_gen_data writes; returns the manifest path and the
-    trajectories, training ones first."""
+def _gen_data(cfg, out, threads=1, keep=False):
+    """Write what cmd_gen_data writes; returns the manifest path and, with
+    keep, the trajectories, training ones first (else one None each)."""
     dirs = _dirs(cfg, out)
     sim = cfg.simulation
     n_steps = int(round(sim.T_extrapolate / sim.dt))
@@ -223,7 +224,7 @@ def _gen_data(cfg, out, threads=1):
              for role, count in (("train", sim.n_trajectories),
                                  ("eval", sim.n_eval_trajectories))}
     jobs = [(cfg.model, sim.dt, n_steps, derive_seed(sim.seed, role, i),
-             os.path.join(dirs["data"], name), sim.max_sites)
+             os.path.join(dirs["data"], name), sim.max_sites, keep)
             for role, names in files.items() for i, name in enumerate(names)]
     trajectories = _map(_gen_worker, jobs, threads)
     mpath = os.path.join(dirs["data"], "manifest.json")
@@ -234,10 +235,12 @@ def _gen_data(cfg, out, threads=1):
 
 
 def _gen_worker(job):
-    model, dt, n_steps, seed, path, max_sites = job
+    """Write one trajectory file; return the trajectory only if the job
+    keeps it, so pool workers send nothing back."""
+    model, dt, n_steps, seed, path, max_sites, keep = job
     traj = generate_trajectory(model, dt, n_steps, seed, max_sites=max_sites)
     save_trajectory(path, traj)
-    return traj
+    return traj if keep else None
 
 
 def _load_manifest(manifest_path):
@@ -499,7 +502,7 @@ def _scan_setup(cfg, v1, v2, out):
     cell_cfg = replace(cfg, model=cell_model,
                        simulation=replace(cfg.simulation, seed=cell_seed))
     cell_out = os.path.join(out, "scan", _cell_dir_name(a1, v1, a2, v2))
-    mpath, trajs = _gen_data(cell_cfg, cell_out)
+    mpath, trajs = _gen_data(cell_cfg, cell_out, keep=True)
     n_train = cell_cfg.simulation.n_trajectories
     return (cell_cfg, _dirs(cell_cfg, cell_out), trajs[:n_train],
             trajs[n_train:], mpath)

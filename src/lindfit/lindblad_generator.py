@@ -18,7 +18,9 @@ L_hk = Tr(F_h Gen[F_k]):
     vec L = G^T (omega, vec Re c, vec Im c).
 
 The gradient with respect to (omega, Re c, Im c) is G vec(dLoss/dL), so
-training and assembly share the same map.
+training and assembly share the same map; _theta_gradient carries it on
+through the Kossakowski factors.  Only this module knows the layout of
+theta and of the rows of G; the trainer sees theta as one flat vector.
 
 The propagator exp(dt L) is a truncated Taylor series with scaling and
 squaring, p_m(A / 2^s)^(2^s) for A = dt L.  The degree m and the scaling s
@@ -89,13 +91,6 @@ class GeneratorParams:
     @classmethod
     def random(cls, n: int, scale: float, rng: np.random.Generator) -> "GeneratorParams":
         return cls.from_theta(scale * rng.standard_normal(n + 2 * n * n))
-
-    @classmethod
-    def zeros(cls, n: int) -> "GeneratorParams":
-        return cls.from_theta(np.zeros(n + 2 * n * n))
-
-    def copy(self) -> "GeneratorParams":
-        return GeneratorParams.from_theta(self.theta.copy())
 
     @property
     def n(self) -> int:
@@ -247,6 +242,27 @@ def _generator(params: GeneratorParams, tensors: np.ndarray) -> np.ndarray:
     coeffs = np.concatenate((params.omega, c.real.reshape(lead + (n * n,)),
                              c.imag.reshape(lead + (n * n,))), axis=-1)
     return (coeffs[..., None, :] @ tensors).reshape(lead + (n + 1, n + 1))
+
+
+def _theta_gradient(params: GeneratorParams, tensors: np.ndarray,
+                    L_bar: np.ndarray) -> GeneratorParams:
+    """dLoss/dtheta from dLoss/dL, the adjoint of _generator.
+
+    G vec(L_bar) is the gradient with respect to (omega, Re c, Im c); the
+    chain rule through c = (X - iY)^T (X + iY) takes it to (omega, X, Y).
+    Stacks map entry by entry, as in _generator.
+    """
+    lead = params.theta.shape[:-1]
+    n = params.n
+    g = tensors @ L_bar.reshape(lead + (-1, 1))
+    r_bar = g[..., n:n + n * n, 0].reshape(lead + (n, n))
+    i_bar = g[..., n + n * n:, 0].reshape(lead + (n, n))
+    sym = r_bar + r_bar.swapaxes(-1, -2)
+    anti = i_bar - i_bar.swapaxes(-1, -2)
+    X, Y = params.X, params.Y
+    return GeneratorParams.from_theta(np.concatenate(
+        (g[..., :n, 0], (X @ sym - Y @ anti).reshape(lead + (-1,)),
+         (Y @ sym + X @ anti).reshape(lead + (-1,))), axis=-1))
 
 
 def assemble_generator(params: GeneratorParams, basis: BasisSet,

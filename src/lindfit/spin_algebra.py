@@ -127,17 +127,6 @@ def coherence_to_matrix(v: np.ndarray, basis: BasisSet) -> np.ndarray:
     return np.einsum("...k,kij->...ij", v, basis.elements)
 
 
-def coherence_to_rho(v: np.ndarray, basis: BasisSet):
-    """Reconstruct the matrix and report its minimum eigenvalue.
-
-    Positivity is not guaranteed for an arbitrary vector, so the caller
-    gets (rho, min_eig) and can flag unphysical reconstructions.
-    """
-    rho = coherence_to_matrix(v, basis)
-    min_eig = float(np.linalg.eigvalsh(rho)[0])
-    return rho, min_eig
-
-
 def ginibre_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank density matrix (M + iN)^dag (M + iN) / trace."""
     m = rng.standard_normal((d, d))

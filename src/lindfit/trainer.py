@@ -2,11 +2,16 @@
 
 Training matches the learned propagator M = exp(dt L) to consecutive
 snapshot pairs: loss = mean over the batch of ||M v_in - v_out||^2.
-Gradients are exact reverse-mode derivatives through the Kossakowski
-factors, the assembly map, and the same truncated Taylor series the
-forward pass uses.  Optimization is plain Adam on the flat parameter
-vector with fixed hyperparameters; batches are drawn uniformly with
-replacement.
+Gradients are exact reverse-mode derivatives through the same truncated
+Taylor series the forward pass uses; lindblad_generator maps them back
+through the assembly map and the Kossakowski factors, so the trainer sees
+the parameters only as one flat vector theta.  Optimization is plain Adam
+on theta with fixed hyperparameters, its moments plain arrays shaped like
+theta; batches are drawn uniformly with replacement.
+
+A dataset holds each role's pairs once, as a table with one row
+[v_in | v_out] per pair; a batch is a gather of rows, handed to
+loss_and_gradient as columns.
 
 train runs C problems in lockstep: parameters, Adam moments and batches
 carry a leading cell axis, and each step is one loss_and_gradient and one
@@ -29,6 +34,7 @@ import numpy as np
 from .lindblad_generator import (
     GeneratorParams,
     _generator,
+    _theta_gradient,
     precompute_dissipator_tensors,
     propagate,
     propagate_backward,
@@ -52,34 +58,29 @@ class TrainConfig:
 
 @dataclass
 class Dataset:
-    """Snapshot pairs (columns of the in/out arrays), split by trajectory."""
+    """Snapshot pairs split by trajectory: train and val hold one row
+    [v_in | v_out] per pair, of 2 d^2 values."""
 
     dt: float
-    train_in: np.ndarray
-    train_out: np.ndarray
-    val_in: np.ndarray
-    val_out: np.ndarray
-    train_trajectories: list
-    val_trajectories: list
+    train: np.ndarray
+    val: np.ndarray
 
     @property
     def n_train_pairs(self) -> int:
-        return self.train_in.shape[1]
+        return self.train.shape[0]
 
     @property
     def n_val_pairs(self) -> int:
-        return self.val_in.shape[1]
+        return self.val.shape[0]
 
 
 @dataclass
 class AdamState:
-    m: GeneratorParams
-    v: GeneratorParams
-    step: int = 0
+    """Adam's first and second moments, arrays shaped like theta."""
 
-    @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=GeneratorParams.zeros(n), v=GeneratorParams.zeros(n), step=0)
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
 
 
 @dataclass
@@ -90,17 +91,14 @@ class TrainResult:
     final_state: AdamState = None
 
 
-def _pairs_of(snapshots: np.ndarray):
-    v = np.asarray(snapshots, dtype=float)
-    return v[:-1].T.copy(), v[1:].T.copy()
-
-
 def build_dataset(trajectories, split_fraction: float = 0.8,
                   rng: np.random.Generator | None = None) -> Dataset:
-    """Stack consecutive-snapshot pairs and split by whole trajectories.
+    """Tabulate consecutive-snapshot pairs, split by whole trajectories.
 
-    The trajectory-count split is rounded to the nearest achievable value;
-    with a single trajectory the validation set is empty.
+    Each role's table has one row [v_in | v_out] per pair, trajectory after
+    trajectory in index order.  The trajectory-count split is rounded to
+    the nearest achievable value; with a single trajectory the validation
+    set is empty.
     """
     if not trajectories:
         raise ValueError("no trajectories given")
@@ -117,22 +115,14 @@ def build_dataset(trajectories, split_fraction: float = 0.8,
     order = rng.permutation(len(trajectories))
     n_train = int(round(split_fraction * len(trajectories)))
     n_train = min(max(n_train, 1), len(trajectories))
-    train_idx = sorted(order[:n_train])
-    val_idx = sorted(order[n_train:])
     d2 = trajectories[0].snapshots.shape[1]
 
-    def stack(idx):
-        if not idx:
-            z = np.zeros((d2, 0))
-            return z, z.copy()
-        ins, outs = zip(*(_pairs_of(trajectories[i].snapshots) for i in idx))
-        return np.concatenate(ins, axis=1), np.concatenate(outs, axis=1)
+    def table(idx):
+        rows = [np.hstack((v[:-1], v[1:])) for v in
+                (np.asarray(trajectories[i].snapshots, dtype=float) for i in sorted(idx))]
+        return np.concatenate(rows) if rows else np.zeros((0, 2 * d2))
 
-    train_in, train_out = stack(train_idx)
-    val_in, val_out = stack(val_idx)
-    return Dataset(dt=dt, train_in=train_in, train_out=train_out,
-                   val_in=val_in, val_out=val_out,
-                   train_trajectories=list(train_idx), val_trajectories=list(val_idx))
+    return Dataset(dt=dt, train=table(order[:n_train]), val=table(order[n_train:]))
 
 
 def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
@@ -166,20 +156,10 @@ def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarr
     losses = (resid * resid).reshape(lead + (-1,)).sum(axis=-1) / B
 
     M_bar = (2.0 / B) * (resid @ v_in.swapaxes(-1, -2))
-    L_bar = propagate_backward(cache, M_bar, dt)
-    n = cells.n
-    g = tensors @ L_bar.reshape(lead + (-1, 1))
-    r_bar = g[..., n:n + n * n, 0].reshape(lead + (n, n))
-    i_bar = g[..., n + n * n:, 0].reshape(lead + (n, n))
-    sym = r_bar + r_bar.swapaxes(-1, -2)
-    anti = i_bar - i_bar.swapaxes(-1, -2)
-    X, Y = cells.X, cells.Y
-    grads = np.concatenate((g[..., :n, 0],
-                            (X @ sym - Y @ anti).reshape(lead + (-1,)),
-                            (Y @ sym + X @ anti).reshape(lead + (-1,))), axis=-1)
+    grads = _theta_gradient(cells, tensors, propagate_backward(cache, M_bar, dt))
     if theta.ndim == 1:
-        return float(losses), GeneratorParams.from_theta(grads)
-    return losses.reshape(C), GeneratorParams.from_theta(grads.reshape(theta.shape))
+        return float(losses), grads
+    return losses.reshape(C), GeneratorParams.from_theta(grads.theta.reshape(theta.shape))
 
 
 def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
@@ -201,13 +181,12 @@ def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
     t = state.step + 1
     b1, b2 = config.beta1, config.beta2
     g = grads.theta
-    m = b1 * state.m.theta + (1.0 - b1) * g
-    v = b2 * state.v.theta + (1.0 - b2) * g * g
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
     theta = params.theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return (AdamState(m=GeneratorParams.from_theta(m), v=GeneratorParams.from_theta(v), step=t),
-            GeneratorParams.from_theta(theta))
+    return AdamState(m=m, v=v, step=t), GeneratorParams.from_theta(theta)
 
 
 def train(config: TrainConfig, dataset):
@@ -243,21 +222,17 @@ def train(config: TrainConfig, dataset):
 def _train_cells(config, datasets, ids, results):
     """The lockstep Adam loop of train over non-empty datasets; writes
     results[ids[c]] for cell c."""
-    d2 = datasets[0].train_in.shape[0]
-    if any(ds.train_in.shape[0] != d2 for ds in datasets):
+    d2 = datasets[0].train.shape[1] // 2
+    if any(ds.train.shape[1] != 2 * d2 for ds in datasets):
         raise ValueError("datasets of different operator dimensions")
     basis = basis_for_dimension(int(round(np.sqrt(d2))))
     tensors = precompute_dissipator_tensors(basis)
-    n = basis.n
     rngs = [np.random.default_rng(config.seed) for _ in datasets]
     params = GeneratorParams.from_theta(np.stack(
-        [GeneratorParams.random(n, config.init_scale, rng).theta for rng in rngs]))
-    state = AdamState(m=GeneratorParams.from_theta(np.zeros_like(params.theta)),
-                      v=GeneratorParams.from_theta(np.zeros_like(params.theta)))
-    # one column (v_in; v_out) per training pair, cell after cell; cell
-    # c's columns start at offsets[c]
-    pairs = np.concatenate([np.concatenate((ds.train_in, ds.train_out))
-                            for ds in datasets], axis=1)
+        [GeneratorParams.random(basis.n, config.init_scale, rng).theta for rng in rngs]))
+    state = AdamState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
+    # the training tables one after another; cell c's rows start at offsets[c]
+    pairs = np.concatenate([ds.train for ds in datasets])
     sizes = [ds.n_train_pairs for ds in datasets]
     offsets = (np.cumsum(sizes) - sizes)[:, None]
     dts = np.array([ds.dt for ds in datasets])[:, None, None]
@@ -266,10 +241,9 @@ def _train_cells(config, datasets, ids, results):
     def record():
         for theta, ds, (train_h, val_h) in zip(params.theta, datasets, histories):
             cell = GeneratorParams.from_theta(theta)
-            for v_in, v_out, history in ((ds.train_in, ds.train_out, train_h),
-                                         (ds.val_in, ds.val_out, val_h)):
-                history.append(float("nan") if v_in.shape[1] == 0 else
-                               loss(cell, v_in, v_out, ds.dt, tensors))
+            for table, history in ((ds.train, train_h), (ds.val, val_h)):
+                history.append(float("nan") if len(table) == 0 else
+                               loss(cell, table[:, :d2].T, table[:, d2:].T, ds.dt, tensors))
 
     record()
     idx = np.empty((len(datasets), config.batch_size), dtype=np.int64)
@@ -277,10 +251,9 @@ def _train_cells(config, datasets, ids, results):
         for _ in range(config.batches_per_epoch):
             for c, rng in enumerate(rngs):
                 idx[c] = rng.integers(0, sizes[c], size=config.batch_size)
-            batch = pairs[:, idx + offsets]
-            losses, grads = loss_and_gradient(
-                params, batch[:d2].reshape(d2, -1), batch[d2:].reshape(d2, -1),
-                dts, tensors)
+            # the cells' batches side by side, one column [v_in; v_out] per pair
+            batch = pairs[(idx + offsets).ravel()].T
+            losses, grads = loss_and_gradient(params, batch[:d2], batch[d2:], dts, tensors)
             bad = {c: x for c, x in enumerate(losses.tolist())
                    if not math.isfinite(x)}
             if bad:
@@ -292,9 +265,7 @@ def _train_cells(config, datasets, ids, results):
                     return
                 params, grads = (GeneratorParams.from_theta(p.theta[keep])
                                  for p in (params, grads))
-                state = AdamState(m=GeneratorParams.from_theta(state.m.theta[keep]),
-                                  v=GeneratorParams.from_theta(state.v.theta[keep]),
-                                  step=state.step)
+                state = AdamState(m=state.m[keep], v=state.v[keep], step=state.step)
                 datasets, ids, rngs, histories, sizes = (
                     [x[c] for c in keep] for x in (datasets, ids, rngs, histories, sizes))
                 offsets, dts, idx = offsets[keep], dts[keep], idx[keep]
@@ -305,8 +276,7 @@ def _train_cells(config, datasets, ids, results):
         results[ids[c]] = TrainResult(
             params=GeneratorParams.from_theta(params.theta[c].copy()),
             train_history=train_h, val_history=val_h,
-            final_state=AdamState(m=GeneratorParams.from_theta(state.m.theta[c].copy()),
-                                  v=GeneratorParams.from_theta(state.v.theta[c].copy()),
+            final_state=AdamState(m=state.m[c].copy(), v=state.v[c].copy(),
                                   step=state.step))
 
 
@@ -318,25 +288,23 @@ def save_loss_curves(path, train_history, val_history) -> None:
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
 
 
-def _leaves(params: GeneratorParams) -> dict:
+def _leaves(theta: np.ndarray) -> dict:
+    params = GeneratorParams.from_theta(theta)
     return {"omega": params.omega.tolist(), "X": params.X.tolist(),
             "Y": params.Y.tolist()}
 
 
-def _from_leaves(leaves: dict) -> GeneratorParams:
-    return GeneratorParams(**{k: np.array(v, dtype=float) for k, v in leaves.items()})
-
-
 def save_checkpoint(path, params: GeneratorParams, state: AdamState,
                     train_history, val_history, dt: float, convention_id: str) -> None:
-    """Everything needed to resume or audit a run, as JSON."""
+    """The final parameters, Adam state and histories of a run, as JSON, for
+    audit; nothing reads it back."""
     import json
 
     payload = {
         "format": "lindfit-checkpoint-v1",
         "convention_id": convention_id,
         "dt": dt,
-        "params": _leaves(params),
+        "params": _leaves(params.theta),
         "adam": {"step": state.step, "m": _leaves(state.m), "v": _leaves(state.v)},
         "train_history": list(map(float, train_history)),
         "val_history": [float(x) for x in val_history],
@@ -344,16 +312,3 @@ def save_checkpoint(path, params: GeneratorParams, state: AdamState,
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")
-
-
-def load_checkpoint(path):
-    import json
-
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "lindfit-checkpoint-v1":
-        raise ValueError(f"unrecognized checkpoint format in {path}")
-    adam = payload["adam"]
-    state = AdamState(m=_from_leaves(adam["m"]), v=_from_leaves(adam["v"]),
-                      step=int(adam["step"]))
-    return _from_leaves(payload["params"]), state, payload

@@ -142,6 +142,22 @@ def test_gen_data_threads_match_sequential(tmp_path):
         assert a == b
 
 
+def test_gen_data_workers_send_back_no_trajectories(tmp_path, monkeypatch):
+    sent = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            results = list(super().map(fn, *iterables, **kwargs))
+            sent.extend(results)
+            return iter(results)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cfg = load_config(_write_config(tmp_path))
+    cmd_gen_data(cfg, str(tmp_path / "par"), threads=2)
+    assert len(sent) == 5
+    assert all(result is None for result in sent)
+
+
 def test_train_writes_artifacts(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     out = str(tmp_path / "run")

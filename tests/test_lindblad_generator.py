@@ -104,7 +104,7 @@ def test_last_row_zero_and_parts(basis2, rng):
 
 def test_parameter_count_mismatch(basis2):
     with pytest.raises(ValueError):
-        assemble_generator(GeneratorParams.zeros(3), basis2)
+        assemble_generator(GeneratorParams.from_theta(np.zeros(21)), basis2)
 
 
 def test_kossakowski_psd_and_formula(rng):

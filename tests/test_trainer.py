@@ -1,6 +1,7 @@
 """Dataset splitting, loss/gradient correctness, Adam, lockstep training,
 and checkpoints."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +22,6 @@ from lindfit.trainer import (
     TrainConfig,
     adam_step,
     build_dataset,
-    load_checkpoint,
     loss,
     loss_and_gradient,
     save_checkpoint,
@@ -48,24 +48,24 @@ def test_build_dataset_pair_alignment():
     snaps = np.arange(50, dtype=float).reshape(10, 5)
     ds = build_dataset([_traj(0.1, snaps)], split_fraction=1.0)
     assert ds.n_train_pairs == 9 and ds.n_val_pairs == 0
-    np.testing.assert_array_equal(ds.train_in[:, 0], snaps[0])
-    np.testing.assert_array_equal(ds.train_out[:, 0], snaps[1])
-    np.testing.assert_array_equal(ds.train_in[:, 8], snaps[8])
-    np.testing.assert_array_equal(ds.train_out[:, 8], snaps[9])
+    assert ds.train.shape == (9, 10) and ds.val.shape == (0, 10)
+    np.testing.assert_array_equal(ds.train[0, :5], snaps[0])
+    np.testing.assert_array_equal(ds.train[0, 5:], snaps[1])
+    np.testing.assert_array_equal(ds.train[8, :5], snaps[8])
+    np.testing.assert_array_equal(ds.train[8, 5:], snaps[9])
 
 
 def test_build_dataset_splits_whole_trajectories():
     # tag every trajectory with a constant so pair provenance is visible
     trajs = [_traj(0.1, np.full((6, 4), float(k))) for k in range(10)]
     ds = build_dataset(trajs, split_fraction=0.8, rng=np.random.default_rng(3))
-    assert len(ds.train_trajectories) == 8
-    assert len(ds.val_trajectories) == 2
-    assert set(ds.train_trajectories) | set(ds.val_trajectories) == set(range(10))
     assert ds.n_train_pairs == 8 * 5 and ds.n_val_pairs == 2 * 5
     # no pair mixes snapshots of two trajectories
-    assert np.all(ds.train_in == ds.train_out)
-    train_tags = set(np.unique(ds.train_in))
-    val_tags = set(np.unique(ds.val_in))
+    assert np.all(ds.train[:, :4] == ds.train[:, 4:])
+    train_tags = set(np.unique(ds.train))
+    val_tags = set(np.unique(ds.val))
+    assert len(train_tags) == 8 and len(val_tags) == 2
+    assert train_tags | val_tags == set(map(float, range(10)))
     assert not train_tags & val_tags
 
 
@@ -92,16 +92,17 @@ def test_loss_zero_at_generating_params():
     params = GeneratorParams.random(basis.n, 0.4, rng)
     trajs = _synthetic_trajectories(params, basis, 0.05, 30, 3, seed=5)
     ds = build_dataset(trajs, split_fraction=1.0)
-    val = loss(params, ds.train_in, ds.train_out, ds.dt, tensors)
+    v_in, v_out = ds.train[:, :4].T, ds.train[:, 4:].T
+    val = loss(params, v_in, v_out, ds.dt, tensors)
     assert val < 1e-26
-    g = loss_and_gradient(params, ds.train_in, ds.train_out, ds.dt, tensors)[1]
+    g = loss_and_gradient(params, v_in, v_out, ds.dt, tensors)[1]
     assert max(np.abs(g.omega).max(), np.abs(g.X).max(), np.abs(g.Y).max()) < 1e-12
 
 
 def test_loss_empty_batch_is_zero():
     basis = build_pauli_basis(1)
     tensors = precompute_dissipator_tensors(basis)
-    params = GeneratorParams.zeros(basis.n)
+    params = GeneratorParams.from_theta(np.zeros(basis.n + 2 * basis.n ** 2))
     empty = np.zeros((4, 0))
     assert loss(params, empty, empty, 0.1, tensors) == 0.0
 
@@ -150,7 +151,7 @@ def test_adam_step_matches_reference_recurrence():
     cfg = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.95, epsilon=1e-9)
     rng = np.random.default_rng(4)
     params = GeneratorParams.random(3, 1.0, rng)
-    state = AdamState.zeros(3)
+    state = AdamState(m=np.zeros(21), v=np.zeros(21))
     # independent scalar recurrence carried alongside
     ref_p = {k: getattr(params, k).copy() for k in ("omega", "X", "Y")}
     ref_m = {k: np.zeros_like(v) for k, v in ref_p.items()}
@@ -173,8 +174,9 @@ def test_adam_zero_learning_rate_freezes_params():
     cfg = TrainConfig(learning_rate=0.0)
     rng = np.random.default_rng(9)
     params = GeneratorParams.random(3, 1.0, rng)
-    before = params.copy()
-    state, params = adam_step(AdamState.zeros(3), params, GeneratorParams.random(3, 1.0, rng), cfg)
+    before = GeneratorParams.from_theta(params.theta.copy())
+    state = AdamState(m=np.zeros(21), v=np.zeros(21))
+    state, params = adam_step(state, params, GeneratorParams.random(3, 1.0, rng), cfg)
     np.testing.assert_array_equal(params.omega, before.omega)
     np.testing.assert_array_equal(params.X, before.X)
     np.testing.assert_array_equal(params.Y, before.Y)
@@ -222,8 +224,8 @@ def test_train_raises_on_non_finite_loss():
 
 def _assert_same_result(a, b):
     np.testing.assert_array_equal(a.params.theta, b.params.theta)
-    np.testing.assert_array_equal(a.final_state.m.theta, b.final_state.m.theta)
-    np.testing.assert_array_equal(a.final_state.v.theta, b.final_state.v.theta)
+    np.testing.assert_array_equal(a.final_state.m, b.final_state.m)
+    np.testing.assert_array_equal(a.final_state.v, b.final_state.v)
     assert a.final_state.step == b.final_state.step
     assert a.train_history == b.train_history
     np.testing.assert_array_equal(a.val_history, b.val_history)
@@ -261,7 +263,7 @@ def test_lockstep_non_finite_cell_fails_alone():
         GeneratorParams.random(3, 0.4, np.random.default_rng(k)), basis, 0.05, 30, 3,
         seed=k), split_fraction=1.0) for k in range(3)]
     # one poisoned pair: the middle cell fails at the first batch that draws it
-    datasets[1].train_out[:, 40] = np.inf
+    datasets[1].train[40, 4:] = np.inf
     cfg = TrainConfig(epochs=3, batch_size=4, batches_per_epoch=20, seed=2)
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError) as lone_failure:
@@ -278,16 +280,18 @@ def test_lockstep_non_finite_cell_fails_alone():
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     params = GeneratorParams.random(15, 0.3, rng)
-    state = AdamState(m=GeneratorParams.random(15, 0.1, rng),
-                      v=GeneratorParams.random(15, 0.01, rng), step=42)
+    state = AdamState(m=GeneratorParams.random(15, 0.1, rng).theta,
+                      v=GeneratorParams.random(15, 0.01, rng).theta, step=42)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, params, state, [1.0, 0.5], [1.1, 0.6], 0.01,
                     "pauli-xyz1-lex-idlast-2site-v1")
-    p2, s2, payload = load_checkpoint(path)
-    np.testing.assert_array_equal(p2.X, params.X)
-    np.testing.assert_array_equal(s2.m.omega, state.m.omega)
-    np.testing.assert_array_equal(s2.v.Y, state.v.Y)
-    assert s2.step == 42
+    payload = json.loads(path.read_text())
+    assert payload["format"] == "lindfit-checkpoint-v1"
+    m, v = (GeneratorParams.from_theta(x) for x in (state.m, state.v))
+    np.testing.assert_array_equal(payload["params"]["X"], params.X)
+    np.testing.assert_array_equal(payload["adam"]["m"]["omega"], m.omega)
+    np.testing.assert_array_equal(payload["adam"]["v"]["Y"], v.Y)
+    assert payload["adam"]["step"] == 42
     assert payload["train_history"] == [1.0, 0.5]
     assert payload["val_history"] == [1.1, 0.6]
     assert payload["dt"] == 0.01
