@@ -7,7 +7,7 @@ from .spin_algebra import (BasisSet, build_pauli_basis, basis_for_dimension,
 from .lindblad_generator import (GeneratorParams, SpectralInfo,
                                  JumpDecomposition, kossakowski_from_factors,
                                  precompute_dissipator_tensors,
-                                 assemble_generator, generator_superoperator,
+                                 assemble_generator,
                                  extract_hamiltonian,
                                  propagate, propagate_trajectory,
                                  stationary_state, jump_decomposition,
@@ -18,8 +18,7 @@ from .trainer import (TrainConfig, Dataset, AdamState, TrainResult,
 from .many_body_sim import (SpinChainModel, Trajectory, CapacityError,
                             model_hamiltonian, bath_sites,
                             build_bath_hamiltonian, bath_thermal_state,
-                            random_initial_subsystem_state, partial_trace,
-                            embed_subsystem_state, evolve_and_reduce,
+                            random_initial_subsystem_state, evolve_and_reduce,
                             generate_trajectory, save_trajectory,
                             load_trajectory)
 from .metrics import (trace_norm, i_err, fvu, FvuResult, stationary_error,

@@ -38,6 +38,7 @@ from .many_body_sim import (SpinChainModel, Trajectory, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
                             DEFAULT_MAX_SITES)
 from .metrics import i_err, fvu, stationary_error, ErrorReport
+from .files import replacing
 
 SIGMA_Z_SUM_COMPONENTS = (11, 14)  # sigma_z(x)1 and 1(x)sigma_z basis slots
 
@@ -184,9 +185,14 @@ def _dirs(cfg, out):
 
 
 def _map(fn, jobs, threads):
-    """[fn(job) for job in jobs], on `threads` worker processes when > 1."""
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    """[fn(job) for job in jobs], on up to `threads` worker processes.
+
+    The pool gets no more workers than there are jobs: under the fork start
+    method every worker is started at the first submit, busy or not.
+    """
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 
@@ -199,12 +205,12 @@ def _write_csv(path, cols, rows):
     if rows:
         fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
         lines += [fmt % tuple(row) for row in rows]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -685,6 +691,8 @@ def _default_model(cfg, out):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, simulation=replace(cfg.simulation,

@@ -13,14 +13,18 @@ parameter values.
 L is linear in omega and in the Kossakowski matrix c, so it is assembled
 through one real linear map G, precomputed once per basis by projecting
 every Hamiltonian and pair superoperator onto the basis,
-L_hk = Tr(F_h Gen[F_k]):
+L_hk = Tr(F_h Gen[F_k]).  Re c is symmetric and Im c antisymmetric, so G
+keeps one row per independent coefficient (n + n^2 rows for n = d^2 - 1,
+240 for two spins):
 
-    vec L = G^T (omega, vec Re c, vec Im c).
+    vec L = G^T (omega, Re c_ij for i <= j, Im c_ij for i < j).
 
-The gradient with respect to (omega, Re c, Im c) is G vec(dLoss/dL), so
-training and assembly share the same map; _theta_gradient carries it on
-through the Kossakowski factors.  Only this module knows the layout of
-theta and of the rows of G; the trainer sees theta as one flat vector.
+The coefficients come from the real factors, Re c = X^T X + Y^T Y and
+Im c = X^T Y - (X^T Y)^T.  The gradient with respect to them is
+G vec(dLoss/dL), so training and assembly share the same map;
+_theta_gradient carries it on through the Kossakowski factors.  Only this
+module knows the layout of theta and of the rows of G; the trainer sees
+theta as one flat vector.
 
 The propagator exp(dt L) is a truncated Taylor series with scaling and
 squaring, p_m(A / 2^s)^(2^s) for A = dt L.  The degree m and the scaling s
@@ -29,12 +33,13 @@ Sci. Comput. 33(2), 2011): the smallest m in {2, 4, 6, 9, 12, 16} with
 ||A||_1 <= theta_m, else m = 16 and the least s with ||A||_1 / 2^s <=
 theta_16.  The polynomial is evaluated by Paterson-Stockmeyer.
 
-The adjoint reuses that polynomial.  The computed function f has real
-coefficients, so the adjoint of its Frechet derivative L_f(A, .) is
-L_f(A^T, .), and L_f(A^T, M_bar) is the top-right block of f applied to the
-block matrix [[A^T, M_bar], [0, A^T]] (Al-Mohy & Higham, SIAM J. Matrix
-Anal. Appl. 30(4), 2009).  Evaluated with the same m and s, it gives
-gradients that are exact for the function actually computed.
+The adjoint differentiates that evaluation.  The computed function f has
+real coefficients, so the adjoint of its Frechet derivative L_f(A, .) is
+L_f(A^T, .) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009).
+The series is evaluated on A^T, giving exp(A)^T, and L_f(A^T, M_bar) is
+the derivative of every step of that evaluation in direction M_bar, formed
+from the powers and partial sums it kept, with the same m and s, so the
+gradients are exact for the function actually computed.
 
 Parameters, assembly, the propagator and its adjoint also take stacks
 (leading axes, one entry per cell trained in lockstep).  Each generator of
@@ -51,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import replacing
 from .spin_algebra import BasisSet, basis_for_dimension
 
 # Taylor degrees m that Paterson-Stockmeyer evaluates most cheaply, and the
@@ -157,49 +163,24 @@ def kossakowski_from_factors(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return z.conj().swapaxes(-1, -2) @ z
 
 
-def _hamiltonian_superop(H: np.ndarray) -> np.ndarray:
-    d = H.shape[0]
-    eye = np.eye(d)
-    return -1.0j * (np.kron(eye, H) - np.kron(H.T, eye))
-
-
-def _pair_superop(F_i: np.ndarray, F_j: np.ndarray) -> np.ndarray:
-    """Vectorized form of rho -> F_i rho F_j - {F_j F_i, rho}/2."""
-    d = F_i.shape[0]
-    eye = np.eye(d)
-    g = F_j @ F_i
-    return np.kron(F_j.T, F_i) - 0.5 * (np.kron(eye, g) + np.kron(g.T, eye))
-
-
-def generator_superoperator(H: np.ndarray, c: np.ndarray, basis: BasisSet) -> np.ndarray:
-    """Dense vectorized superoperator of the full generator (complex).
-
-    Vectorization stacks columns, so vec(A X B) = (B^T kron A) vec(X).
-    """
-    n = basis.n
-    F = basis.elements
-    S = _hamiltonian_superop(H).astype(complex)
-    for i in range(n):
-        for j in range(n):
-            if c[i, j] != 0.0:
-                S += c[i, j] * _pair_superop(F[i], F[j])
-    return S
-
-
 _TENSOR_CACHE: dict = {}
 
 
 def precompute_dissipator_tensors(basis: BasisSet) -> np.ndarray:
     """The assembly map G of a basis, once per basis; read-only.
 
-    G has shape (n + 2n^2, d^4) for n = d^2 - 1.  Its rows are the flattened
-    projections of rho -> -i[F_k, rho], then the real parts and then minus
-    the imaginary parts of the pair superoperators (i, j) in row-major order,
-    so that L = (omega, vec Re c, vec Im c) @ G reshaped to d^2 x d^2.  The
-    trace row of L vanishes analytically; its columns of G are zeroed
-    exactly, so assembled generators keep the last coherence component
-    pinned.  Imaginary leftovers of the Hamiltonian projections beyond
-    rounding indicate a broken basis and raise.
+    G has shape (n + n^2, d^4) for n = d^2 - 1: one row per independent
+    real coefficient of the generator.  Its rows are the flattened
+    projections of rho -> -i[F_k, rho] (coefficient omega_k), then of the
+    pair superoperators' real parts for i <= j (coefficient Re c_ij, the
+    rows (i, j) and (j, i) added), then of minus their imaginary parts for
+    i < j (coefficient Im c_ij, row (j, i) subtracted from row (i, j)), in
+    row-major order of (i, j).  Re c is symmetric and Im c antisymmetric,
+    so these rows carry all of c, and L = coefficients @ G reshaped to
+    d^2 x d^2.  The trace row of L vanishes analytically; its columns of G
+    are zeroed exactly, so assembled generators keep the last coherence
+    component pinned.  Imaginary leftovers of the Hamiltonian projections
+    beyond rounding indicate a broken basis and raise.
 
     Every projection is read off the trace tensor T[a, b, c, e] =
     Tr(F_a F_b F_c F_e); three-fold traces use F_{d^2} = 1/sqrt(d).
@@ -221,48 +202,91 @@ def precompute_dissipator_tensors(basis: BasisSet) -> np.ndarray:
         raise ValueError("Hamiltonian projection is not real")
     # F_i rho F_j - {F_j F_i, rho}/2 at rho = F_c, projected on F_h
     pairs = (T.transpose(1, 3, 0, 2) - 0.5 * T.transpose(2, 1, 0, 3)
-             - 0.5 * T.transpose(3, 2, 0, 1))[:n, :n]
-    G = np.concatenate((h.real.reshape(n, -1), pairs.real.reshape(n * n, -1),
-                        -pairs.imag.reshape(n * n, -1)))
+             - 0.5 * T.transpose(3, 2, 0, 1))[:n, :n].reshape(n, n, -1)
+    i, j = np.triu_indices(n)
+    off = (i != j)[:, None]
+    i1, j1 = np.triu_indices(n, 1)
+    G = np.concatenate((h.real.reshape(n, -1),
+                        pairs.real[i, j] + np.where(off, pairs.real[j, i], 0.0),
+                        pairs.imag[j1, i1] - pairs.imag[i1, j1]))
     G[:, (d2 - 1) * d2:] = 0.0
     G.setflags(write=False)
     _TENSOR_CACHE[key] = G
     return G
 
 
+@functools.cache
+def _layout(size: int):
+    """n and the index maps of a parameter vector of n + 2n^2 entries.
+
+    fold picks the folded coefficients out of [omega, vec Re c, vec Im c]:
+    omega, then Re c_ij for i <= j, then Im c_ij for i < j, in row-major
+    order of (i, j).  spread and weights take them back to two n x n
+    matrices, S = U + U^T and A = V - V^T for the upper triangles U of
+    Re c and V of Im c: entry k is weights[k] times folded coefficient
+    spread[k], with weight 2 on the diagonal of S and 1 off it, and 1
+    above, -1 below and 0 on the diagonal of A.
+    """
+    n = (math.isqrt(8 * size + 1) - 1) // 4
+    i, j = np.indices((n, n)).reshape(2, -1)
+    upper = np.flatnonzero(i <= j)
+    strict = np.flatnonzero(i < j)
+    fold = np.concatenate((np.arange(n), n + upper, n + n * n + strict))
+    # position of each (i, j) among the folded Re c and Im c coefficients
+    re_pos = np.empty(n * n, dtype=np.intp)
+    re_pos[upper] = np.arange(upper.size)
+    im_pos = np.zeros(n * n, dtype=np.intp)
+    im_pos[strict] = upper.size + np.arange(strict.size)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    spread = n + np.concatenate((re_pos[lo * n + hi], im_pos[lo * n + hi]))
+    weights = np.concatenate((np.where(i == j, 2.0, 1.0), np.sign(j - i)))
+    return n, fold, spread, weights
+
+
 def _generator(params: GeneratorParams, tensors: np.ndarray) -> np.ndarray:
     """L from (omega, X, Y) through the assembly map; see assemble_generator.
 
-    A stack of parameter sets gives a stack of generators, each from the
-    same vector-matrix product a lone set takes.
+    The Kossakowski coefficients come from the real factors: with W = [X; Y]
+    stacked as theta holds them, Re c = X^T X + Y^T Y = W^T W and
+    Im c = X^T Y - (X^T Y)^T.  A stack of parameter sets gives a stack of
+    generators, each from the same vector-matrix product a lone set takes.
     """
-    lead = params.theta.shape[:-1]
-    n = params.n
-    c = kossakowski_from_factors(params.X, params.Y)
-    coeffs = np.concatenate((params.omega, c.real.reshape(lead + (n * n,)),
-                             c.imag.reshape(lead + (n * n,))), axis=-1)
+    theta = params.theta
+    lead = theta.shape[:-1]
+    n, fold, _, _ = _layout(theta.shape[-1])
+    W = theta[..., n:].reshape(lead + (2 * n, n))
+    Wt = W.swapaxes(-1, -2)
+    xy = Wt[..., :n] @ W[..., n:, :]
+    coeffs = np.concatenate((theta[..., :n], (Wt @ W).reshape(lead + (-1,)),
+                             (xy - xy.swapaxes(-1, -2)).reshape(lead + (-1,))),
+                            axis=-1).take(fold, axis=-1)
     return (coeffs[..., None, :] @ tensors).reshape(lead + (n + 1, n + 1))
 
 
+# turns [X A, Y A] into [-Y A, X A] once its halves are swapped
+_ANTI_SYM = np.array([-1.0, 1.0])[:, None, None]
+
+
 def _theta_gradient(params: GeneratorParams, tensors: np.ndarray,
-                    L_bar: np.ndarray) -> GeneratorParams:
+                    L_bar: np.ndarray) -> np.ndarray:
     """dLoss/dtheta from dLoss/dL, the adjoint of _generator.
 
-    G vec(L_bar) is the gradient with respect to (omega, Re c, Im c); the
-    chain rule through c = (X - iY)^T (X + iY) takes it to (omega, X, Y).
-    Stacks map entry by entry, as in _generator.
+    G vec(L_bar) is the gradient with respect to the folded coefficients.
+    Spread over whole matrices it gives the gradients S and A with respect
+    to W^T W and X^T Y (see _layout), and the chain rule gives
+    X_bar = X S - Y A and Y_bar = Y S + X A.  Stacks map entry by entry, as
+    in _generator.
     """
-    lead = params.theta.shape[:-1]
-    n = params.n
-    g = tensors @ L_bar.reshape(lead + (-1, 1))
-    r_bar = g[..., n:n + n * n, 0].reshape(lead + (n, n))
-    i_bar = g[..., n + n * n:, 0].reshape(lead + (n, n))
-    sym = r_bar + r_bar.swapaxes(-1, -2)
-    anti = i_bar - i_bar.swapaxes(-1, -2)
-    X, Y = params.X, params.Y
-    return GeneratorParams.from_theta(np.concatenate(
-        (g[..., :n, 0], (X @ sym - Y @ anti).reshape(lead + (-1,)),
-         (Y @ sym + X @ anti).reshape(lead + (-1,))), axis=-1))
+    theta = params.theta
+    lead = theta.shape[:-1]
+    n, _, spread, weights = _layout(theta.shape[-1])
+    g = (tensors @ L_bar.reshape(lead + (-1, 1)))[..., 0]
+    SA = (g.take(spread, axis=-1) * weights).reshape(lead + (2, n, n))
+    W = theta[..., n:].reshape(lead + (2 * n, n))
+    # [[X S, Y S], [X A, Y A]], each block n x n
+    T = (W[..., None, :, :] @ SA).reshape(lead + (2, 2, n, n))
+    W_bar = T[..., 0, :, :, :] + _ANTI_SYM * T[..., 1, ::-1, :, :]
+    return np.concatenate((g[..., :n], W_bar.reshape(lead + (-1,))), axis=-1)
 
 
 def assemble_generator(params: GeneratorParams, basis: BasisSet,
@@ -307,15 +331,15 @@ _PS_COEFFICIENTS = {m: _ps_coefficients(m) for m in _TAYLOR_DEGREES}
 class _ExpmCache:
     """What propagate_backward needs from one propagate_with_cache call.
 
-    A is dt L, one matrix or a stack; groups lists (indices, m, s) for the
-    matrices that share each Taylor plan, largest plan last.  terms holds
-    the m + 1 Taylor coefficients and squares the s matrices that were
-    squared of that largest plan, which is the only one unless a stack
-    mixes plans.
+    groups lists (indices, m, s) for the matrices that share each Taylor
+    plan, largest plan last, and states the intermediates _taylor kept for
+    each group.  terms holds the m + 1 Taylor coefficients and squares the
+    s matrices that were squared of that largest plan, which is the only
+    one unless a stack mixes plans.
     """
 
-    A: np.ndarray
     groups: list
+    states: list
     terms: np.ndarray
     squares: list
 
@@ -339,11 +363,11 @@ def _plan_groups(A: np.ndarray) -> list:
     """[(indices, m, s)] for the matrices of A, one matrix or a stack
     (C, d, d), that share each Taylor plan, largest plan last; the indices
     are slice(None) when all share one plan."""
-    norms = np.ravel(_one_norms(A)).tolist()
-    if len(norms) == 1:
-        return [(slice(None), *_taylor_plan(norms[0]))]
+    norms = _one_norms(A)
+    if norms.ndim == 0:
+        return [(slice(None), *_taylor_plan(float(norms)))]
     groups = {}
-    for k, norm in enumerate(norms):
+    for k, norm in enumerate(norms.tolist()):
         groups.setdefault(_taylor_plan(norm), []).append(k)
     if len(groups) == 1:
         return [(slice(None), *next(iter(groups)))]
@@ -357,44 +381,104 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _taylor(A: np.ndarray, m: int, s: int):
-    """p_m(A / 2^s)^(2^s); returns it and the s matrices that were squared.
+def _coefficient_blocks(C: np.ndarray, powers: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = sum_i C[j, i] powers[i] for powers (q + 1, ..., d, d) and
+    out (rows of C, ..., d, d), from one small product per matrix."""
+    flat = powers.shape[1:-2] + (-1,)
+    np.matmul(C, powers.reshape(powers.shape[:1] + flat).swapaxes(0, -2),
+              out=out.reshape(out.shape[:1] + flat).swapaxes(0, -2))
 
-    A may be a stack (C, d, d).  Every matrix of it goes through the same
-    products it would take alone, so its result does not depend on the
-    others.
+
+def _taylor(A: np.ndarray, m: int, s: int):
+    """p_m(A / 2^s)^(2^s); returns it and the intermediates _taylor_frechet
+    reads, (m, s, powers, horner, squares).
+
+    powers[k] holds X^k for X = A / 2^s over room for its derivative, and
+    horner[j] the Paterson-Stockmeyer partial sum P_j = B_j + X^q P_{j+1}
+    over room for its derivative; squares holds the s matrices that were
+    squared.  A may be a stack (C, d, d).  Every matrix of it goes through
+    the same products it would take alone, so its result does not depend
+    on the others.
     """
     C = _PS_COEFFICIENTS[m]
-    q = C.shape[1] - 1
+    r, q = C.shape[0], C.shape[1] - 1
     d = A.shape[-1]
-    lead = A.shape[:-2]
-    powers = np.empty((q + 1,) + A.shape)
-    powers[0] = _identity(d)
-    powers[1] = A / 2.0 ** s if s else A
+    powers = np.empty((q + 1,) + A.shape[:-2] + (2 * d, d))
+    horner = np.empty((r,) + A.shape[:-2] + (2 * d, d))
+    Xk, Pj = powers[:, ..., :d, :], horner[:, ..., :d, :]
+    Xk[0] = _identity(d)
+    if s:
+        np.multiply(A, 0.5 ** s, out=Xk[1])
+    else:
+        Xk[1] = A
     for k in range(2, q + 1):
-        np.matmul(powers[1], powers[k - 1], out=powers[k])
-    # per matrix, every coefficient block from one small product
-    blocks = (C @ powers.reshape((q + 1,) + lead + (d * d,)).swapaxes(0, -2)
-              ).reshape(lead + (-1, d, d))
-    P = blocks[..., -1, :, :]
-    for j in range(blocks.shape[-3] - 2, -1, -1):
-        P = blocks[..., j, :, :] + powers[q] @ P
+        np.matmul(Xk[1], Xk[k - 1], out=Xk[k])
+    _coefficient_blocks(C, Xk, out=Pj)
+    for j in range(r - 2, -1, -1):
+        P = Pj[j]
+        P += Xk[q] @ Pj[j + 1]
+    P = Pj[0]
     squares = []
     for _ in range(s):
         squares.append(P)
         P = P @ P
-    return P, squares
+    return P, (m, s, powers, horner, squares)
 
 
-def _taylor_groups(A: np.ndarray, groups: list):
-    """_taylor of every matrix of A on its group's plan; returns the result
-    and the squared matrices of the last group."""
+def _taylor_frechet(state, E: np.ndarray) -> np.ndarray:
+    """The derivative of _taylor's result in direction E, from its kept
+    intermediates.
+
+    Every step of the forward evaluation is differentiated in turn (D_k of
+    X^k, then of P_j, then of each square), so the result is the exact
+    Frechet derivative of the function that was computed.  A power
+    X^k = X X^(k-1) has derivative [E_s | X] @ [X^(k-1); D_(k-1)], and a
+    partial sum B_j + X^q P_(j+1) has dB_j + [D_q | X^q] @ [P_(j+1); dP_(j+1)],
+    each one product per matrix with the forward factor and its derivative
+    stacked as powers and horner hold them.
+    """
+    m, s, powers, horner, squares = state
+    C = _PS_COEFFICIENTS[m]
+    r, q = C.shape[0], C.shape[1] - 1
+    d = E.shape[-1]
+    Dk, dPj = powers[:, ..., d:, :], horner[:, ..., d:, :]
+    if s:
+        np.multiply(E, 0.5 ** s, out=Dk[1])
+    else:
+        Dk[1] = E
+    step = np.concatenate((Dk[1], powers[1, ..., :d, :]), axis=-1)
+    for k in range(2, q + 1):
+        np.matmul(step, powers[k - 1], out=Dk[k])
+    _coefficient_blocks(C[:, 1:], Dk[1:], out=dPj)
+    step = np.concatenate((Dk[q], powers[q, ..., :d, :]), axis=-1)
+    for j in range(r - 2, -1, -1):
+        dP = dPj[j]
+        dP += step @ horner[j + 1]
+    dP = dPj[0]
+    for S in squares:
+        dP = dP @ S + S @ dP
+    return dP
+
+
+def _propagate(A: np.ndarray):
+    """exp(A) for A = dt L, one matrix or a stack, each on its own plan:
+    returns it, the plan groups and each group's kept intermediates.
+
+    The series is evaluated on A^T, whose result p(A^T) = p(A)^T is kept
+    as it is and returned transposed, so that its adjoint runs on the same
+    intermediates without a transposition (see propagate_backward).
+    """
+    groups = _plan_groups(A)
+    At = A.swapaxes(-1, -2)
     if len(groups) == 1:
-        return _taylor(A, *groups[0][1:])
-    out = np.empty_like(A)
+        P, state = _taylor(At, *groups[0][1:])
+        return P.swapaxes(-1, -2), groups, [state]
+    P = np.empty_like(A)
+    states = []
     for idx, m, s in groups:
-        out[idx], squares = _taylor(A[idx], m, s)
-    return out, squares
+        P[idx], state = _taylor(At[idx], m, s)
+        states.append(state)
+    return P.swapaxes(-1, -2), groups, states
 
 
 def propagate(L: np.ndarray, dt: float) -> np.ndarray:
@@ -404,34 +488,34 @@ def propagate(L: np.ndarray, dt: float) -> np.ndarray:
     of them shaped (C, 1, 1); each takes its own Taylor plan, so its
     propagator is the one a lone call gives.
     """
-    A = dt * np.asarray(L, dtype=float)
-    return _taylor_groups(A, _plan_groups(A))[0]
+    return _propagate(dt * np.asarray(L, dtype=float))[0]
 
 
 def propagate_with_cache(L: np.ndarray, dt: float):
     """Like propagate, but returns the intermediates for reverse mode."""
-    A = dt * np.asarray(L, dtype=float)
-    groups = _plan_groups(A)
-    M, squares = _taylor_groups(A, groups)
-    return M, _ExpmCache(A=A, groups=groups,
-                         terms=_TAYLOR_COEFFICIENTS[:groups[-1][1] + 1],
-                         squares=squares)
+    M, groups, states = _propagate(dt * np.asarray(L, dtype=float))
+    m, s, _, _, squares = states[-1]
+    return M, _ExpmCache(groups=groups, states=states,
+                         terms=_TAYLOR_COEFFICIENTS[:m + 1], squares=squares)
 
 
 def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.ndarray:
     """Adjoint of propagate: dLoss/dL from dLoss/dM.
 
-    dt times the top-right block of the forward polynomial, same degree and
-    scaling, evaluated on [[A^T, M_bar], [0, A^T]]; exact for the forward
-    truncation.  Each matrix of a stack keeps its forward plan.
+    The computed function f has real coefficients, so the adjoint of its
+    Frechet derivative is L_f(A^T, M_bar), the derivative of the forward
+    evaluation, which ran on A^T, in direction M_bar.  It is formed from
+    that evaluation's own powers and partial sums, with the same degree and
+    scaling, and is exact for the forward truncation.  Each matrix of a
+    stack keeps its forward plan.
     """
-    A = cache.A
-    n = A.shape[-1]
-    Z = np.zeros(A.shape[:-2] + (2 * n, 2 * n))
-    Z[..., :n, :n] = Z[..., n:, n:] = A.swapaxes(-1, -2)
-    Z[..., :n, n:] = M_bar
-    F, _ = _taylor_groups(Z, cache.groups)
-    return dt * F[..., :n, n:]
+    if len(cache.groups) == 1:
+        F = _taylor_frechet(cache.states[0], M_bar)
+    else:
+        F = np.empty_like(M_bar)
+        for (idx, _, _), state in zip(cache.groups, cache.states):
+            F[idx] = _taylor_frechet(state, M_bar[idx])
+    return dt * F
 
 
 def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:
@@ -538,7 +622,7 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
     }
     if extra:
         payload["extra"] = extra
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .files import replacing
 from .spin_algebra import (build_pauli_basis, ginibre_density_matrix,
                            rho_to_coherence)
 
@@ -151,49 +152,6 @@ def random_initial_subsystem_state(rng):
         rho = ginibre_density_matrix(4, rng)
         if np.isfinite(rho).all():
             return rho
-
-
-def partial_trace(rho_full, keep_sites, n_sites=None):
-    """Reduce a full chain state to the listed sites, in the order given.
-
-    Accepts a density matrix or a pure-state vector on 2^N dimensions.
-    """
-    arr = np.asarray(rho_full)
-    dim = arr.shape[0]
-    n = int(round(np.log2(dim))) if n_sites is None else n_sites
-    if 1 << n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    keep = list(keep_sites)
-    if len(set(keep)) != len(keep):
-        raise ValueError("duplicate sites in keep_sites")
-    if any(s < 1 or s > n for s in keep):
-        raise ValueError(f"keep_sites out of range 1..{n}")
-    k = len(keep)
-    axes = [s - 1 for s in keep]
-    if arr.ndim == 1:
-        psi = np.moveaxis(arr.reshape((2,) * n), axes, range(k))
-        G = psi.reshape(1 << k, -1)
-        return G @ G.conj().T
-    if arr.ndim != 2 or arr.shape != (dim, dim):
-        raise ValueError(f"expected vector or square matrix, got {arr.shape}")
-    t = arr.reshape((2,) * (2 * n))
-    t = np.moveaxis(t, axes + [n + a for a in axes],
-                    list(range(k)) + list(range(n, n + k)))
-    t = t.reshape(1 << k, 1 << (n - k), 1 << k, 1 << (n - k))
-    return np.einsum("aibi->ab", t)
-
-
-def embed_subsystem_state(rho_s, rho_b, model):
-    """rho_s (x) rho_b arranged so subsystem_sites carry rho_s in site order."""
-    n = model.n_sites
-    rho = np.kron(np.asarray(rho_s, dtype=complex), rho_b)
-    order = list(model.subsystem_sites) + bath_sites(model)
-    if order == list(range(1, n + 1)):
-        return rho
-    perm = [order.index(s) for s in range(1, n + 1)]
-    t = rho.reshape((2,) * (2 * n))
-    t = np.transpose(t, perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(1 << n, 1 << n))
 
 
 @dataclass
@@ -340,7 +298,7 @@ def save_trajectory(path, traj):
     row_fmt = "%d" + ",%.17g" * ncomp
     lines += [row_fmt % (k, *row)
               for k, row in enumerate(traj.snapshots.tolist())]
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -4,14 +4,15 @@ Training matches the learned propagator M = exp(dt L) to consecutive
 snapshot pairs: loss = mean over the batch of ||M v_in - v_out||^2.
 Gradients are exact reverse-mode derivatives through the same truncated
 Taylor series the forward pass uses; lindblad_generator maps them back
-through the assembly map and the Kossakowski factors, so the trainer sees
-the parameters only as one flat vector theta.  Optimization is plain Adam
-on theta with fixed hyperparameters, its moments plain arrays shaped like
-theta; batches are drawn uniformly with replacement.
+through the folded assembly map and the Kossakowski factors, so the
+trainer sees the parameters only as one flat vector theta.  Optimization
+is plain Adam on theta with fixed hyperparameters, updated in place, its
+moments plain arrays shaped like theta; batches are drawn uniformly with
+replacement.
 
 A dataset holds each role's pairs once, as a table with one row
 [v_in | v_out] per pair; a batch is a gather of rows, handed to
-loss_and_gradient as columns.
+loss_and_gradient as columns, which works on them one pair per row.
 
 train runs C problems in lockstep: parameters, Adam moments and batches
 carry a leading cell axis, and each step is one loss_and_gradient and one
@@ -40,6 +41,7 @@ from .lindblad_generator import (
     propagate_backward,
     propagate_with_cache,
 )
+from .files import replacing
 from .spin_algebra import basis_for_dimension
 
 
@@ -130,36 +132,35 @@ def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarr
     """Batch loss and its exact gradient with respect to (omega, X, Y).
 
     tensors is the assembly map G of precompute_dissipator_tensors; G times
-    dLoss/dL gives the gradient with respect to (omega, Re c, Im c).
+    dLoss/dL gives the gradient with respect to the folded coefficients
+    (omega, Re c, Im c).
 
     For C cells at once, params.theta has shape (C, n + 2n^2), v_in and
     v_out hold the cells' equal batches side by side (cell c in columns
     c*B to (c+1)*B - 1), dt is one time step or C of them shaped
-    (C, 1, 1), and the loss is an array of C values.  Each cell's loss and
+    (C, 1, 1), and the loss is an array of C values.  One parameter set
+    runs as a stack of one, through the same lines.  Each cell's loss and
     gradient come from the products a lone call makes, so they do not
     depend on the other cells.
     """
     theta = params.theta
-    C = theta.shape[0] if theta.ndim == 2 else 1
+    cells = params if theta.ndim == 2 else GeneratorParams.from_theta(theta[None])
+    C = cells.theta.shape[0]
     d2, B = v_in.shape[0], v_in.shape[1] // C
-    if C == 1:
-        # one cell runs on plain matrices, which cost less per numpy call
-        lead, dt = (), np.reshape(dt, ())
-        cells = GeneratorParams.from_theta(theta.reshape(-1))
-    else:
-        lead, cells = (C,), params
-        v_in = v_in.reshape(d2, C, B).transpose(1, 0, 2)
-        v_out = v_out.reshape(d2, C, B).transpose(1, 0, 2)
-
+    # one pair per row, (C, B, d2)
+    x, y = v_in.T.reshape(C, B, d2), v_out.T.reshape(C, B, d2)
     M, cache = propagate_with_cache(_generator(cells, tensors), dt)
-    resid = M @ v_in - v_out
-    losses = (resid * resid).reshape(lead + (-1,)).sum(axis=-1) / B
-
-    M_bar = (2.0 / B) * (resid @ v_in.swapaxes(-1, -2))
-    grads = _theta_gradient(cells, tensors, propagate_backward(cache, M_bar, dt))
+    resid = x @ M.swapaxes(-1, -2)
+    resid -= y
+    flat = resid.reshape(C, -1)
+    losses = np.vecdot(flat, flat) / B
+    M_bar = resid.swapaxes(-1, -2) @ x
+    M_bar *= 2.0 / B
+    grads = GeneratorParams.from_theta(_theta_gradient(
+        cells, tensors, propagate_backward(cache, M_bar, dt)).reshape(theta.shape))
     if theta.ndim == 1:
-        return float(losses), grads
-    return losses.reshape(C), GeneratorParams.from_theta(grads.theta.reshape(theta.shape))
+        return float(losses[0]), grads
+    return losses, grads
 
 
 def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
@@ -174,19 +175,28 @@ def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
 
 def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
               config: TrainConfig):
-    """One bias-corrected Adam update of theta; returns fresh (state, params).
+    """One bias-corrected Adam update of theta, in place; returns
+    (state, params).
 
-    Elementwise, so stacked parameter sets update as they would alone.
+    The bias corrections are folded into the step size and epsilon
+    (Kingma & Ba 2015, end of section 2).  Elementwise, so stacked
+    parameter sets update as they would alone.
     """
-    t = state.step + 1
+    t = state.step = state.step + 1
     b1, b2 = config.beta1, config.beta2
     g = grads.theta
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
-    m_hat = m / (1.0 - b1 ** t)
-    v_hat = v / (1.0 - b2 ** t)
-    theta = params.theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return AdamState(m=m, v=v, step=t), GeneratorParams.from_theta(theta)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    root_c2 = math.sqrt(1.0 - b2 ** t)
+    step = np.sqrt(v)
+    step += config.epsilon * root_c2
+    np.divide(m, step, out=step)
+    step *= config.learning_rate * root_c2 / (1.0 - b1 ** t)
+    params.theta -= step
+    return state, params
 
 
 def train(config: TrainConfig, dataset):
@@ -234,7 +244,7 @@ def _train_cells(config, datasets, ids, results):
     # the training tables one after another; cell c's rows start at offsets[c]
     pairs = np.concatenate([ds.train for ds in datasets])
     sizes = [ds.n_train_pairs for ds in datasets]
-    offsets = (np.cumsum(sizes) - sizes)[:, None]
+    offsets = [sum(sizes[:c]) for c in range(len(sizes))]
     dts = np.array([ds.dt for ds in datasets])[:, None, None]
     histories = [([], []) for _ in datasets]
 
@@ -250,9 +260,10 @@ def _train_cells(config, datasets, ids, results):
     for epoch in range(1, config.epochs + 1):
         for _ in range(config.batches_per_epoch):
             for c, rng in enumerate(rngs):
-                idx[c] = rng.integers(0, sizes[c], size=config.batch_size)
+                idx[c] = rng.integers(offsets[c], offsets[c] + sizes[c],
+                                      size=config.batch_size)
             # the cells' batches side by side, one column [v_in; v_out] per pair
-            batch = pairs[(idx + offsets).ravel()].T
+            batch = pairs.take(idx.ravel(), axis=0).T
             losses, grads = loss_and_gradient(params, batch[:d2], batch[d2:], dts, tensors)
             bad = {c: x for c, x in enumerate(losses.tolist())
                    if not math.isfinite(x)}
@@ -266,9 +277,10 @@ def _train_cells(config, datasets, ids, results):
                 params, grads = (GeneratorParams.from_theta(p.theta[keep])
                                  for p in (params, grads))
                 state = AdamState(m=state.m[keep], v=state.v[keep], step=state.step)
-                datasets, ids, rngs, histories, sizes = (
-                    [x[c] for c in keep] for x in (datasets, ids, rngs, histories, sizes))
-                offsets, dts, idx = offsets[keep], dts[keep], idx[keep]
+                datasets, ids, rngs, histories, sizes, offsets = (
+                    [x[c] for c in keep]
+                    for x in (datasets, ids, rngs, histories, sizes, offsets))
+                dts, idx = dts[keep], idx[keep]
             state, params = adam_step(state, params, grads, config)
         record()
 
@@ -282,7 +294,7 @@ def _train_cells(config, datasets, ids, results):
 
 def save_loss_curves(path, train_history, val_history) -> None:
     """CSV with one row per epoch: epoch, train_loss, val_loss."""
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write("epoch,train_loss,val_loss\n")
         for epoch, (tr, va) in enumerate(zip(train_history, val_history)):
             fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
@@ -309,6 +321,6 @@ def save_checkpoint(path, params: GeneratorParams, state: AdamState,
         "train_history": list(map(float, train_history)),
         "val_history": [float(x) for x in val_history],
     }
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,6 @@ from lindfit.lindblad_generator import (
     GeneratorParams,
     assemble_generator,
     extract_hamiltonian,
-    generator_superoperator,
     jump_decomposition,
     kossakowski_from_factors,
     precompute_dissipator_tensors,
@@ -37,6 +36,7 @@ from lindfit.spin_algebra import (
     rho_to_coherence,
 )
 from lindfit.trainer import TrainConfig, build_dataset, loss, loss_and_gradient, train
+from oracles import generator_superoperator
 
 
 # ---------------------------------------------------------------------------

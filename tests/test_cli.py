@@ -158,6 +158,54 @@ def test_gen_data_workers_send_back_no_trajectories(tmp_path, monkeypatch):
     assert all(result is None for result in sent)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_pool_has_no_more_workers_than_jobs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert cli._map(abs, [-1, -2, -3], 4) == [1, 2, 3]
+    assert cli._map(abs, [-1], 4) == [1]  # one job runs in this process
+    assert _InlinePool.sizes == [3]
+    # gen-data of 5 trajectories asks for 5 workers, not 6
+    cfg = load_config(_write_config(tmp_path))
+    cmd_gen_data(cfg, str(tmp_path / "seq"))
+    cmd_gen_data(cfg, str(tmp_path / "par"), threads=6)
+    assert _InlinePool.sizes == [3, 5]
+    for name in ("train_000.csv", "eval_001.csv", "manifest.json"):
+        assert (tmp_path / "seq" / "data" / name).read_bytes() == \
+            (tmp_path / "par" / "data" / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_main_refuses_threads_below_one(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InlinePool)
+    out = tmp_path / "run"
+    rc = main(["--config", _write_config(tmp_path), "--out", str(out),
+               "--threads", threads, "gen-data"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     out = str(tmp_path / "run")

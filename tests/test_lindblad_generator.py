@@ -14,9 +14,9 @@ from lindfit.lindblad_generator import (
     _TAYLOR_DEGREES,
     _TAYLOR_THETA,
     GeneratorParams,
+    _theta_gradient,
     assemble_generator,
     extract_hamiltonian,
-    generator_superoperator,
     jump_decomposition,
     kossakowski_from_factors,
     load_model,
@@ -29,6 +29,7 @@ from lindfit.lindblad_generator import (
     stationary_state,
 )
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
+from oracles import generator_superoperator
 
 
 def _oracle_generator(params, basis):
@@ -71,6 +72,56 @@ def test_assembly_matches_loop_oracle(num_spins, draws):
         L = assemble_generator(params, basis, tensors)
         oracle = _oracle_generator(params, basis)
         assert np.abs(L - oracle).max() < 1e-11
+
+
+def _unfolded_assembly_map(basis):
+    """The assembly map with one row per entry of Re c and of Im c: n + 2n^2
+    rows, projected from the same trace tensor as the folded map."""
+    n, d, d2 = basis.n, basis.d, basis.d ** 2
+    F = basis.elements
+    P = np.matmul(F[:, None], F[None, :]).reshape(d2 * d2, d, d)
+    T = (P.reshape(d2 * d2, -1) @ P.transpose(0, 2, 1).reshape(d2 * d2, -1).T
+         ).reshape(d2, d2, d2, d2)
+    T3 = np.sqrt(d) * T[..., -1]
+    h = -1.0j * (T3.transpose(1, 0, 2) - T3.transpose(2, 0, 1))[:n]
+    pairs = (T.transpose(1, 3, 0, 2) - 0.5 * T.transpose(2, 1, 0, 3)
+             - 0.5 * T.transpose(3, 2, 0, 1))[:n, :n]
+    G = np.concatenate((h.real.reshape(n, -1), pairs.real.reshape(n * n, -1),
+                        -pairs.imag.reshape(n * n, -1)))
+    G[:, (d2 - 1) * d2:] = 0.0
+    return G
+
+
+@pytest.mark.parametrize("num_spins", [1, 2])
+def test_folded_map_matches_unfolded_map(num_spins):
+    # the folded map assembles the same L as one row per entry of c, and
+    # its adjoint gives the same gradient with respect to (omega, X, Y)
+    basis = build_pauli_basis(num_spins)
+    n = basis.n
+    tensors = precompute_dissipator_tensors(basis)
+    assert tensors.shape == (n + n * n, basis.d ** 4)
+    assert not tensors.flags.writeable
+    assert np.all(tensors[:, -basis.d ** 2:] == 0.0)
+    full = _unfolded_assembly_map(basis)
+    rng = np.random.default_rng(40 + num_spins)
+    for _ in range(5):
+        params = GeneratorParams.random(n, 0.4, rng)
+        c = kossakowski_from_factors(params.X, params.Y)
+        ref = (np.concatenate((params.omega, c.real.ravel(), c.imag.ravel())) @ full
+               ).reshape(n + 1, n + 1)
+        L = assemble_generator(params, basis, tensors)
+        assert np.abs(L - ref).max() <= 1e-15 * np.abs(ref).max()
+
+        L_bar = rng.standard_normal(L.shape)
+        g = full @ L_bar.ravel()
+        r_bar = g[n:n + n * n].reshape(n, n)
+        i_bar = g[n + n * n:].reshape(n, n)
+        sym, anti = r_bar + r_bar.T, i_bar - i_bar.T
+        X, Y = params.X, params.Y
+        ref = np.concatenate((g[:n], (X @ sym - Y @ anti).ravel(),
+                              (Y @ sym + X @ anti).ravel()))
+        grad = _theta_gradient(params, tensors, L_bar)
+        assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_generator_superoperator_consistent(basis2, rng):

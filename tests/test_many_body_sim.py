@@ -16,16 +16,15 @@ from lindfit.many_body_sim import (
     bath_sites,
     bath_thermal_state,
     build_bath_hamiltonian,
-    embed_subsystem_state,
     evolve_and_reduce,
     generate_trajectory,
     load_trajectory,
     model_hamiltonian,
-    partial_trace,
     random_initial_subsystem_state,
     save_trajectory,
 )
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
+from oracles import embed_subsystem_state, partial_trace
 
 
 def _full_oracle_trajectory(model, rho_s0, dt, steps):

@@ -133,6 +133,27 @@ def test_gradient_matches_finite_differences():
                 assert abs(ga[idx] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
+def test_loss_and_gradient_propagates_once_each_way(monkeypatch):
+    # one forward pass with its cache and one adjoint pass per call, through
+    # the names the trainer looks up, for one cell and for a stack
+    basis = build_pauli_basis(2)
+    tensors = precompute_dissipator_tensors(basis)
+    rng = np.random.default_rng(15)
+    calls = []
+    for name in ("propagate_with_cache", "propagate_backward"):
+        def counting(*args, _real=getattr(trainer, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(trainer, name, counting)
+    for theta, dt in ((rng.standard_normal(465) * 0.1, 0.01),
+                      (rng.standard_normal((3, 465)) * 0.1, np.full((3, 1, 1), 0.01))):
+        calls.clear()
+        C = 1 if theta.ndim == 1 else len(theta)
+        v = rng.standard_normal((32, 8 * C))
+        loss_and_gradient(GeneratorParams.from_theta(theta), v[:16], v[16:], dt, tensors)
+        assert calls == ["propagate_with_cache", "propagate_backward"]
+
+
 def test_loss_gauge_invariance():
     basis = build_pauli_basis(2)
     tensors = precompute_dissipator_tensors(basis)
