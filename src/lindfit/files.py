@@ -1,4 +1,4 @@
-"""Output files that a reader never sees half written."""
+"""Output files that a failing writer never leaves half written."""
 
 import contextlib
 import os
@@ -12,7 +12,9 @@ def replacing(path):
     `<path>.<pid>.tmp` so that it matches no `*.csv` or `*.json` pattern,
     and os.replace moves it onto `path` once the block has succeeded.  If
     the block raises, the temporary file is removed and `path` keeps what
-    it held.
+    it held.  The file is not fsynced: this guards against the writing
+    process failing or being killed, not against an OS crash or power
+    loss, after which the rename may reach the disk before the data.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"

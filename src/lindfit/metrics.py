@@ -13,6 +13,8 @@ import numpy as np
 from .spin_algebra import basis_for_dimension, coherence_to_matrix
 
 VAR_FLOOR = 1e-14
+# NumPy 2.0 renamed trapz to trapezoid
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def trace_norm(sigma):
@@ -48,7 +50,7 @@ def i_err(exact, predicted, t_in, t_fin):
     basis = _basis_of(ve)
     diff = coherence_to_matrix(ve[k_lo:k_hi + 1] - vp[k_lo:k_hi + 1], basis)
     dist = np.linalg.svd(diff, compute_uv=False).sum(axis=1)
-    return float(np.trapezoid(dist, dx=dt) / (t_fin - t_in))
+    return float(_trapezoid(dist, dx=dt) / (t_fin - t_in))
 
 
 @dataclass
@@ -108,7 +110,7 @@ def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
         t = dt * np.arange(v.shape[0])
         mask = (t >= a * tau - 1e-9 * tau) & (t <= b * tau + 1e-9 * tau)
         tw = t[mask]
-        vbar = np.trapezoid(v[mask], tw, axis=0) / (tw[-1] - tw[0])
+        vbar = _trapezoid(v[mask], tw, axis=0) / (tw[-1] - tw[0])
         eps.append(trace_norm(coherence_to_matrix(vbar, basis) - rho_st))
     return float(np.mean(eps))
 

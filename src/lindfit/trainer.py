@@ -153,7 +153,8 @@ def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarr
     resid = x @ M.swapaxes(-1, -2)
     resid -= y
     flat = resid.reshape(C, -1)
-    losses = np.vecdot(flat, flat) / B
+    # per-cell dot products, each the one a lone cell takes
+    losses = (flat[:, None, :] @ flat[:, :, None])[:, 0, 0] / B
     M_bar = resid.swapaxes(-1, -2) @ x
     M_bar *= 2.0 / B
     grads = GeneratorParams.from_theta(_theta_gradient(
@@ -175,8 +176,11 @@ def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
 
 def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
               config: TrainConfig):
-    """One bias-corrected Adam update of theta, in place; returns
-    (state, params).
+    """One bias-corrected Adam update of theta; returns (state, params).
+
+    The update is in place: params.theta, state.m, state.v and state.step
+    change, and the returned objects are the ones passed in.  Copy them
+    first to keep the old values.
 
     The bias corrections are folded into the step size and epsilon
     (Kingma & Ba 2015, end of section 2).  Elementwise, so stacked

@@ -154,6 +154,26 @@ def test_loss_and_gradient_propagates_once_each_way(monkeypatch):
         assert calls == ["propagate_with_cache", "propagate_backward"]
 
 
+def test_loss_and_gradient_stack_equals_lone_calls():
+    # each cell's loss and gradient in a stack are bit for bit a lone call's
+    basis = build_pauli_basis(2)
+    tensors = precompute_dissipator_tensors(basis)
+    rng = np.random.default_rng(16)
+    C, B = 3, 1024  # rows longer than numpy's 8192-element ufunc buffer
+    theta = rng.standard_normal((C, 465)) * 0.1
+    dts = np.array([0.01, 0.1, 0.01])[:, None, None]
+    v = rng.standard_normal((32, B * C))
+    losses, grads = loss_and_gradient(GeneratorParams.from_theta(theta),
+                                      v[:16], v[16:], dts, tensors)
+    for c in range(C):
+        cols = slice(c * B, (c + 1) * B)
+        lone_loss, lone_grads = loss_and_gradient(
+            GeneratorParams.from_theta(theta[c].copy()), v[:16, cols].copy(),
+            v[16:, cols].copy(), float(dts[c, 0, 0]), tensors)
+        assert losses[c] == lone_loss
+        np.testing.assert_array_equal(grads.theta[c], lone_grads.theta)
+
+
 def test_loss_gauge_invariance():
     basis = build_pauli_basis(2)
     tensors = precompute_dissipator_tensors(basis)
