@@ -34,13 +34,11 @@ from .lindblad_generator import (assemble_generator, propagate_trajectory,
                                  save_model, load_model)
 from .trainer import TrainConfig, build_dataset, train, save_loss_curves, \
     save_checkpoint
-from .many_body_sim import (SpinChainModel, Trajectory, generate_trajectory,
+from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
-                            DEFAULT_MAX_SITES)
-from .metrics import i_err, fvu, stationary_error, ErrorReport
+                            DEFAULT_MAX_SITES, restricted_hamiltonian)
+from .metrics import i_err, fvu, stationary_error, time_window, ErrorReport
 from .files import replacing
-
-SIGMA_Z_SUM_COMPONENTS = (11, 14)  # sigma_z(x)1 and 1(x)sigma_z basis slots
 
 
 class ConfigError(ValueError):
@@ -162,9 +160,13 @@ def load_config(path):
             ("training.batch_size", cfg.training.batch_size, 1),
             ("training.batches_per_epoch", cfg.training.batches_per_epoch, 1),
             ("training.epochs", cfg.training.epochs, 0),
-            ("metrics.n_initial_conditions", cfg.metrics.n_initial_conditions, 1)):
+            ("metrics.n_initial_conditions", cfg.metrics.n_initial_conditions, 1),
+            ("metrics.max_window_steps", cfg.metrics.max_window_steps, 1)):
         if value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not 0 <= cfg.metrics.a < cfg.metrics.b:
+        raise ConfigError(f"metrics need 0 <= a < b, got a={cfg.metrics.a!r}, "
+                          f"b={cfg.metrics.b!r}")
     return cfg
 
 
@@ -323,9 +325,8 @@ def _fit(training, cells):
 def _dataset(cell):
     cfg, _, trajs = cell[:3]
     sim = cfg.simulation
-    keep = int(round(sim.T_train / sim.dt)) + 1
     split_rng = np.random.default_rng(derive_seed(sim.seed, "split"))
-    return build_dataset([replace(t, snapshots=t.snapshots[:keep]) for t in trajs],
+    return build_dataset([time_window(t, 0.0, sim.T_train) for t in trajs],
                          split_fraction=0.8, rng=split_rng)
 
 
@@ -344,13 +345,6 @@ def _save_fit(cell, result):
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
                      result.train_history, result.val_history)
     return model_path, result.params
-
-
-def _window_view(traj, t_lo, t_hi):
-    k_lo = int(round(t_lo / traj.dt))
-    k_hi = int(round(t_hi / traj.dt))
-    return Trajectory(model=getattr(traj, "model", None), dt=traj.dt,
-                      snapshots=traj.snapshots[k_lo:k_hi + 1])
 
 
 def _epsilon_pipeline(cfg, L):
@@ -401,23 +395,19 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
     notes = {}
     ie_i, ie_e, fv_i, fv_e = [], [], [], []
     for idx, exact in enumerate(exact_trajectories):
-        t_end = exact.dt * (exact.snapshots.shape[0] - 1)
-        pred = Trajectory(model=exact.model, dt=exact.dt,
-                          snapshots=propagate_trajectory(
-                              L, exact.snapshots[0], exact.dt,
-                              exact.snapshots.shape[0] - 1))
+        pred = replace(exact, snapshots=propagate_trajectory(
+            L, exact.snapshots[0], exact.dt, exact.n_steps))
         _write_timeseries(os.path.join(dirs["report"],
                                        f"timeseries_eval_{idx:03d}.csv"),
                           exact, pred)
         ie_i.append(i_err(exact, pred, 0.0, sim.T_train))
-        r = fvu(_window_view(exact, 0.0, sim.T_train),
-                _window_view(pred, 0.0, sim.T_train))
-        fv_i.append(r.value)
-        if t_end >= sim.T_extrapolate - 1e-9:
+        fv_i.append(fvu(time_window(exact, 0.0, sim.T_train),
+                        time_window(pred, 0.0, sim.T_train)).value)
+        if exact.dt * exact.n_steps >= sim.T_extrapolate - 1e-9:
             ie_e.append(i_err(exact, pred, sim.T_train, sim.T_extrapolate))
-            r = fvu(_window_view(exact, sim.T_train, sim.T_extrapolate),
-                    _window_view(pred, sim.T_train, sim.T_extrapolate))
-            fv_e.append(r.value)
+            fv_e.append(fvu(time_window(exact, sim.T_train, sim.T_extrapolate),
+                            time_window(pred, sim.T_train,
+                                        sim.T_extrapolate)).value)
         else:
             notes["extrapolation"] = "missing data: interpolation-only report"
 
@@ -442,8 +432,8 @@ def _write_timeseries(path, exact, pred):
     cols = ["t_over_omega_inv"]
     cols += [f"exact_v_{k}" for k in range(1, n + 1)]
     cols += [f"model_v_{k}" for k in range(1, n + 1)]
-    t = exact.dt * np.arange(exact.snapshots.shape[0])
-    rows = np.column_stack((t, exact.snapshots, pred.snapshots)).tolist()
+    rows = np.column_stack((exact.times(), exact.snapshots,
+                            pred.snapshots)).tolist()
     _write_csv(path, cols, rows)
 
 
@@ -537,6 +527,13 @@ def cmd_scan(cfg, out, threads=1):
     if not scan.axis1_values or not scan.axis2_values:
         raise ConfigError("scan requires nonempty axis value lists")
     values = [(v1, v2) for v1 in scan.axis1_values for v2 in scan.axis2_values]
+    names = [_cell_dir_name(scan.axis1_name, v1, scan.axis2_name, v2)
+             for v1, v2 in values]
+    if len(set(names)) < len(names):
+        clash = [v for v, name in zip(values, names)
+                 if names.count(name) > 1]
+        raise ConfigError(f"scan cells {clash} would share directories: "
+                          "axis values must differ in 6 significant digits")
     n_groups = max(1, min(threads, len(values)))
     bounds = [len(values) * g // n_groups for g in range(n_groups + 1)]
     groups = [(cfg, values[lo:hi], out) for lo, hi in zip(bounds, bounds[1:])]
@@ -583,13 +580,13 @@ def cmd_stationary(cfg, model_path, out):
 
 def _write_observables(path, exact, L, info):
     """Exact vs learned vs stationary two-spin sigma_z observables."""
-    n_steps = exact.snapshots.shape[0] - 1
-    pred = propagate_trajectory(L, exact.snapshots[0], exact.dt, n_steps)
-    comps = {"sz_1": 11, "sz_2": 14, "sz_sz": 10}
-    t = exact.dt * np.arange(n_steps + 1)
+    pred = propagate_trajectory(L, exact.snapshots[0], exact.dt, exact.n_steps)
+    labels = build_pauli_basis(2).labels
+    t = exact.times()
     cols = ["t_over_omega_inv"]
     series = [t]
-    for name, ci in comps.items():
+    for name, word in (("sz_1", "z1"), ("sz_2", "1z"), ("sz_sz", "zz")):
+        ci = labels.index(word)
         cols += [f"{name}_exact", f"{name}_model", f"{name}_stationary"]
         # expectation of the two-spin Pauli word is 2 * v component
         series += [2 * exact.snapshots[:, ci], 2 * pred[:, ci],
@@ -604,12 +601,7 @@ def reference_two_spin_hamiltonian(model):
     two subsystem sites; variant II keeps the fields and the distance-1
     power-law bond.
     """
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    nproj = np.diag([1.0, 0.0])
-    eye = np.eye(2)
-    coupling = model.V_prime if model.variant == "I" else model.V
-    H = model.omega / 2.0 * (np.kron(sx, eye) + np.kron(eye, sx))
-    H = H + coupling * np.kron(nproj, nproj)
+    H = restricted_hamiltonian(model, model.subsystem_sites)
     return H - np.trace(H) / 4.0 * np.eye(4)
 
 
@@ -621,9 +613,9 @@ def cmd_interpret(cfg, model_path, out):
     H_ref = reference_two_spin_hamiltonian(cfg.model)
     diff = H_learned - H_ref
 
-    direction = np.zeros(basis.n)
-    direction[list(SIGMA_Z_SUM_COMPONENTS)] = 1.0 / np.sqrt(2.0)
-    dir_op = np.einsum("k,kij->ij", direction, basis.elements[:basis.n])
+    # normalized sigma_z(x)1 + 1(x)sigma_z
+    dir_op = sum(basis.elements[basis.labels.index(word)]
+                 for word in ("z1", "1z")) / np.sqrt(2.0)
     overlap = np.trace(dir_op.conj().T @ diff)
     hs2 = np.trace(diff.conj().T @ diff).real
     fraction = float(abs(overlap) ** 2 / hs2) if hs2 > 1e-30 else 0.0

@@ -628,18 +628,41 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
 
 
 def load_model(path):
-    """Read a model file; returns (params, basis, dt, payload)."""
+    """Read a model file; returns (params, basis, dt, payload).
+
+    A file that is not a JSON object, or whose d is not a positive integer,
+    dt not a positive finite number, or omega, X and Y not finite numbers
+    of the shapes d sets, is refused with ValueError.
+    """
     import json
 
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a model file holds a JSON object, "
+                         f"got {type(payload).__name__}")
     if payload.get("format") != "lindfit-model-v1":
         raise ValueError(f"unrecognized model file format in {path}")
-    basis = basis_for_dimension(int(payload["d"]))
+    d, dt = payload.get("d"), payload.get("dt")
+    if type(d) is not int or d < 1:
+        raise ValueError(f"{path}: d must be a positive integer, got {d!r}")
+    if type(dt) not in (int, float) or not 0 < dt < math.inf:
+        raise ValueError(f"{path}: dt must be a positive finite number, got {dt!r}")
+    n = d * d - 1
+    arrays = {}
+    for key, shape in (("omega", (n,)), ("X", (n, n)), ("Y", (n, n))):
+        try:
+            value = np.array(payload.get(key))
+        except ValueError:  # ragged nesting
+            value = None
+        if (value is None or value.dtype.kind not in "if"
+                or value.shape != shape or not np.isfinite(value).all()):
+            raise ValueError(f"{path}: {key} must be finite numbers of shape "
+                             f"{shape}, got {payload.get(key)!r:.80}")
+        arrays[key] = value.astype(float)
+    # the shapes, checked first, bound d by the size of the file
+    basis = basis_for_dimension(d)
     if payload["convention_id"] != basis.convention_id:
         raise ValueError(f"model uses basis convention {payload['convention_id']!r}, "
                          f"expected {basis.convention_id!r}")
-    params = GeneratorParams(omega=np.array(payload["omega"], dtype=float),
-                             X=np.array(payload["X"], dtype=float),
-                             Y=np.array(payload["Y"], dtype=float))
-    return params, basis, float(payload["dt"]), payload
+    return GeneratorParams(**arrays), basis, float(dt), payload

@@ -126,15 +126,20 @@ def bath_sites(model):
             if s not in model.subsystem_sites]
 
 
+def restricted_hamiltonian(model, sites):
+    """Chain Hamiltonian keeping only the terms that lie wholly on `sites`,
+    assembled on those sites relabeled 1, 2, ... in the order given."""
+    pos = {s: k + 1 for k, s in enumerate(sites)}
+    fields, bonds = _model_terms(model)
+    return _assemble(len(pos), [(pos[s], c) for s, c in fields if s in pos],
+                     [(pos[i], pos[j], c) for i, j, c in bonds
+                      if i in pos and j in pos])
+
+
 def build_bath_hamiltonian(model):
     """Chain Hamiltonian with every term touching the subsystem removed,
     assembled on the bath factor (bath sites relabeled in increasing order)."""
-    bsites = bath_sites(model)
-    pos = {s: k + 1 for k, s in enumerate(bsites)}
-    fields, bonds = _model_terms(model)
-    bf = [(pos[s], c) for s, c in fields if s in pos]
-    bb = [(pos[i], pos[j], c) for i, j, c in bonds if i in pos and j in pos]
-    return _assemble(len(bsites), bf, bb)
+    return restricted_hamiltonian(model, bath_sites(model))
 
 
 def bath_thermal_state(model):
@@ -289,7 +294,7 @@ def save_trajectory(path, traj):
         f"alpha={m.alpha:.17g}",
         f"beta={m.beta:.17g}",
         f"dt={traj.dt:.17g}",
-        f"n_steps={traj.snapshots.shape[0] - 1}",
+        f"n_steps={traj.n_steps}",
         f"seed={'' if traj.seed is None else traj.seed}",
         f"convention_id={build_pauli_basis(2).convention_id}",
     ]

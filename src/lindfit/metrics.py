@@ -2,11 +2,12 @@
 
 All time integrals use the trapezoidal rule on the native snapshot grid.
 Trajectories enter as objects with .dt and .snapshots (rows of coherence
-vectors); the operator basis is inferred from the snapshot width.
+vectors); time_window and stationary_error take many_body_sim.Trajectory
+objects.  The operator basis is inferred from the snapshot width.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,8 +19,10 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def trace_norm(sigma):
-    """Sum of singular values; equals sum |eigenvalue| for Hermitian input."""
-    return float(np.linalg.svd(np.asarray(sigma), compute_uv=False).sum())
+    """Sum of singular values (sum |eigenvalue| for Hermitian input); a
+    stack (..., n, n) gives an array of one norm per matrix."""
+    norms = np.linalg.svd(np.asarray(sigma), compute_uv=False).sum(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _basis_of(snapshots):
@@ -39,6 +42,13 @@ def _window_slice(dt, n_snap, t_lo, t_hi):
     return k_lo, k_hi
 
 
+def time_window(traj, t_lo, t_hi):
+    """The trajectory cut to [t_lo, t_hi], both ends on its grid, by the
+    rule i_err scores its windows with (a view of the snapshots)."""
+    k_lo, k_hi = _window_slice(traj.dt, traj.snapshots.shape[0], t_lo, t_hi)
+    return replace(traj, snapshots=traj.snapshots[k_lo:k_hi + 1])
+
+
 def i_err(exact, predicted, t_in, t_fin):
     """Time-averaged trace-norm distance between the two state trajectories
     over [t_in, t_fin]."""
@@ -48,8 +58,8 @@ def i_err(exact, predicted, t_in, t_fin):
     ve, vp = exact.snapshots, predicted.snapshots
     k_lo, k_hi = _window_slice(dt, min(ve.shape[0], vp.shape[0]), t_in, t_fin)
     basis = _basis_of(ve)
-    diff = coherence_to_matrix(ve[k_lo:k_hi + 1] - vp[k_lo:k_hi + 1], basis)
-    dist = np.linalg.svd(diff, compute_uv=False).sum(axis=1)
+    dist = trace_norm(coherence_to_matrix(ve[k_lo:k_hi + 1] - vp[k_lo:k_hi + 1],
+                                          basis))
     return float(_trapezoid(dist, dx=dt) / (t_fin - t_in))
 
 
@@ -99,15 +109,14 @@ def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
         raise ValueError("need 0 <= a < b")
     eps = []
     for traj in exact_trajectories:
-        dt = traj.dt
         v = traj.snapshots
-        t_end = dt * (v.shape[0] - 1)
+        t_end = traj.dt * traj.n_steps
         if t_end < b * tau - 1e-9 * tau:
             raise ValueError(f"trajectory covers only t={t_end:.6g}, "
                              f"needs b*tau={b * tau:.6g}")
         basis = _basis_of(v)
         rho_st = coherence_to_matrix(np.asarray(v_st, dtype=float), basis)
-        t = dt * np.arange(v.shape[0])
+        t = traj.times()
         mask = (t >= a * tau - 1e-9 * tau) & (t <= b * tau + 1e-9 * tau)
         tw = t[mask]
         vbar = _trapezoid(v[mask], tw, axis=0) / (tw[-1] - tw[0])

@@ -26,7 +26,7 @@ from lindfit.lindblad_generator import (
     propagate_trajectory,
     stationary_state,
 )
-from lindfit.many_body_sim import SpinChainModel, generate_trajectory
+from lindfit.many_body_sim import SpinChainModel, Trajectory, generate_trajectory
 from lindfit.metrics import fvu, i_err, stationary_error, trace_norm
 from lindfit.spin_algebra import (
     basis_for_dimension,
@@ -388,8 +388,8 @@ def test_criterion_09_stationary_analysis_of_synthetic_model(synthetic_truth):
     trajs = []
     for _ in range(10):
         v0 = rho_to_coherence(ginibre_density_matrix(basis.d, rng), basis)
-        trajs.append(SimpleNamespace(
-            dt=dt,
+        trajs.append(Trajectory(
+            model=None, dt=dt,
             snapshots=propagate_trajectory(synthetic_truth.L, v0, dt,
                                            n_steps)))
     eps = stationary_error(trajs, info.v_st, info.tau, a=5.0, b=10.0)

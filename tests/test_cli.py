@@ -489,6 +489,20 @@ def test_scan_rejects_bad_axis(tmp_path):
         cmd_scan(cfg, str(tmp_path / "run"))
 
 
+@pytest.mark.parametrize("alphas", [[1.0000001, 1.0000002], [0.5, 0.5], [1, 1.0]],
+                         ids=["equal_to_6_digits", "repeated", "int_and_float"])
+def test_scan_refuses_axis_values_sharing_a_directory(tmp_path, alphas):
+    over = {"model": {"variant": "II", "n_sites": 4, "omega": 1.0, "V": 0.1,
+                      "alpha": 0.3, "beta": 0.0, "V_prime": 0.0},
+            "scan": {"axis1_name": "alpha", "axis1_values": alphas,
+                     "axis2_name": "V", "axis2_values": [0.1, 0.2]}}
+    cfg = load_config(_write_config(tmp_path, over))
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="share"):
+        cmd_scan(cfg, str(out))
+    assert not out.exists()  # refused before any cell ran
+
+
 def test_stationary_report_ok_path(tmp_path):
     cfg, model_path, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
     rpath = cmd_stationary(cfg, model_path, out)
@@ -518,6 +532,17 @@ def test_stationary_report_no_gap(tmp_path):
                                            "stationary_observables.csv"))
 
 
+def _kron_two_spin_hamiltonian(model):
+    """The subsystem pair's fields and bond written out with kron, traceless."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    nproj = np.diag([1.0, 0.0])
+    eye = np.eye(2)
+    coupling = model.V_prime if model.variant == "I" else model.V
+    H = model.omega / 2.0 * (np.kron(sx, eye) + np.kron(eye, sx))
+    H = H + coupling * np.kron(nproj, nproj)
+    return H - np.trace(H) / 4.0 * np.eye(4)
+
+
 def test_reference_two_spin_hamiltonian():
     mI = SpinChainModel("I", 5, 1.2, 0.7, V_prime=0.4)
     H = reference_two_spin_hamiltonian(mI)
@@ -528,6 +553,16 @@ def test_reference_two_spin_hamiltonian():
     mII = SpinChainModel("II", 6, 1.0, 0.1, alpha=0.3)
     H2 = reference_two_spin_hamiltonian(mII)
     assert H2[0, 0] - H2[3, 3] == pytest.approx(0.1)
+    # the chain's own terms restricted to the pair give the kron formula's
+    # bits, for either geometry, any subsystem position and signed couplings
+    for model in (mI, mII,
+                  SpinChainModel("I", 4, 0.3, -1.1, V_prime=-2.7),
+                  SpinChainModel("I", 7, 1, 2, V_prime=3),
+                  SpinChainModel("II", 8, 2.5, -0.37, alpha=1.7),
+                  SpinChainModel("II", 4, 0.9, 1.3, alpha=0.0)):
+        H = reference_two_spin_hamiltonian(model)
+        assert H.dtype == np.float64
+        assert np.array_equal(H, _kron_two_spin_hamiltonian(model)), model
 
 
 def test_interpret_identifies_planted_structure(tmp_path):
@@ -584,8 +619,13 @@ def test_main_capacity_error(tmp_path, capsys):
     ({"training": {"epochs": -3}}, ["train"]),
     ({"metrics": {"n_initial_conditions": 0}}, ["stationary"]),
     ({"simulation": {"n_eval_trajectories": 0}}, ["gen-data", "eval"]),
+    ({"metrics": {"max_window_steps": 0}}, ["gen-data"]),
+    ({"metrics": {"a": 10.0, "b": 5.0}}, ["gen-data"]),
+    ({"metrics": {"a": 5.0, "b": 5.0}}, ["gen-data"]),
+    ({"metrics": {"a": -1.0}}, ["gen-data"]),
 ], ids=["batch_size", "batches_per_epoch", "epochs", "n_initial_conditions",
-        "no_eval_files"])
+        "no_eval_files", "max_window_steps", "a_above_b", "a_equals_b",
+        "a_negative"])
 def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     cfg_path = _write_config(tmp_path, overrides)
     out = str(tmp_path / "run")
@@ -639,6 +679,44 @@ def test_main_refuses_malformed_manifest(tmp_path, capsys, command, manifest):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+# edits of a valid model file that leave no model in it
+_MODEL_EDITS = {
+    "list": lambda p: [p],
+    "d_null": lambda p: dict(p, d=None),
+    "d_str": lambda p: dict(p, d="4"),
+    "d_float": lambda p: dict(p, d=4.0),
+    "d_zero": lambda p: dict(p, d=0),
+    "dt_str": lambda p: dict(p, dt="0.1"),
+    "dt_null": lambda p: dict(p, dt=None),
+    "omega_null": lambda p: dict(p, omega=None),
+    "X_strings": lambda p: dict(p, X=[[str(x) for x in row] for row in p["X"]]),
+    "Y_bools": lambda p: dict(p, Y=[[False] * 15] * 15),
+}
+
+
+@pytest.mark.parametrize("command", ["stationary", "interpret"])
+@pytest.mark.parametrize("edit", list(_MODEL_EDITS))
+def test_main_refuses_malformed_model(tmp_path, capsys, command, edit):
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "run"
+    model_path = str(tmp_path / "model.json")
+    save_model(model_path, _stable_two_spin_params(), build_pauli_basis(2),
+               TINY["simulation"]["dt"])
+    with open(model_path) as fh:
+        payload = _MODEL_EDITS[edit](json.load(fh))
+    with open(model_path, "w") as fh:
+        json.dump(payload, fh)
+    rc = main(["--config", cfg_path, "--out", str(out), command,
+               "--model", model_path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not os.path.exists(out / "reports" / f"{command}_report.json")
 
 
 def _assert_config_refused(tmp_path, capsys, cfg_path):

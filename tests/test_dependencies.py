@@ -53,3 +53,59 @@ def test_package_uses_no_numpy_2_only_function():
         newer = sorted(f"{owner}.{attr}" for owner, attr in used
                        if attr in NUMPY_2_ONLY.get(owner, ()))
         assert not newer, f"{name} uses {newer}, new in NumPy 2"
+
+
+def _module_imports(tree):
+    """Names the module-level imports of a module bind."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _private_definitions(tree):
+    """Private names a module binds at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree):
+    """Names a module reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _outside_uses(tree):
+    """Names another module may use a module's names by: attributes read
+    and names imported from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_package_has_no_unused_imports_or_private_names():
+    """In each module but __init__ (which re-exports), every module-level
+    import is read in that module, and every private top-level name is
+    read somewhere in the package."""
+    trees = dict(_trees())
+    trees.pop("__init__.py")
+    in_package = set()
+    for tree in trees.values():
+        in_package |= _reads(tree) | set(_outside_uses(tree))
+    for name, tree in trees.items():
+        unused = sorted(set(_module_imports(tree)) - _reads(tree))
+        assert not unused, f"{name} imports {unused} and never uses them"
+        dead = sorted(set(_private_definitions(tree)) - in_package)
+        assert not dead, f"{name} defines {dead}, which nothing reads"

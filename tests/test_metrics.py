@@ -1,7 +1,6 @@
 """Trace-norm distances, variance ratios, and stationary-state checks."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +11,14 @@ from lindfit.lindblad_generator import (
     propagate_trajectory,
     stationary_state,
 )
-from lindfit.metrics import ErrorReport, fvu, i_err, stationary_error, trace_norm
+from lindfit.many_body_sim import Trajectory
+from lindfit.metrics import (ErrorReport, fvu, i_err, stationary_error, time_window,
+                             trace_norm)
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 
 def _traj(dt, snapshots):
-    return SimpleNamespace(dt=dt, snapshots=np.asarray(snapshots, dtype=float))
+    return Trajectory(model=None, dt=dt, snapshots=np.asarray(snapshots, dtype=float))
 
 
 def _random_trajectory(rng, n_snap=21, dt=0.1, d=4):
@@ -37,6 +38,40 @@ def test_trace_norm_hermitian_matches_eigenvalue_sum(rng):
         H = A + A.conj().T
         oracle = np.abs(np.linalg.eigvalsh(H)).sum()
         assert trace_norm(H) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_trace_norm_of_a_stack_is_one_norm_per_matrix(rng):
+    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    norms = trace_norm(stack)
+    assert norms.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert norms[idx] == trace_norm(stack[idx])
+    assert type(trace_norm(stack[0, 0])) is float
+
+
+def test_time_window_is_the_slice_i_err_scores(rng):
+    exact = _random_trajectory(rng, n_snap=41)
+    pred = _traj(exact.dt, exact.snapshots + 0.01 * rng.standard_normal((41, 16)))
+    for lo, hi in [(0.0, 4.0), (1.0, 3.0), (0.7, 2.2)]:
+        we, wp = time_window(exact, lo, hi), time_window(pred, lo, hi)
+        k_lo, k_hi = int(round(lo / exact.dt)), int(round(hi / exact.dt))
+        assert np.shares_memory(we.snapshots, exact.snapshots)
+        assert np.array_equal(we.snapshots, exact.snapshots[k_lo:k_hi + 1])
+        assert (we.dt, we.n_steps) == (exact.dt, k_hi - k_lo)
+        # i_err scores exactly the rows the window keeps
+        assert i_err(we, wp, 0.0, hi - lo) == i_err(exact, pred, lo, hi)
+
+
+@pytest.mark.parametrize("window", [(0.05, 1.0), (0.0, 1.03), (0.0, 4.1),
+                                    (-0.1, 1.0), (2.0, 2.0), (3.0, 1.0)],
+                         ids=["start_off_grid", "end_off_grid", "past_the_end",
+                              "before_the_start", "empty", "reversed"])
+def test_time_window_refuses_off_grid_or_uncovered(rng, window):
+    traj = _random_trajectory(rng, n_snap=41)
+    with pytest.raises(ValueError):
+        time_window(traj, *window)
+    with pytest.raises(ValueError):
+        i_err(traj, traj, *window)
 
 
 def test_i_err_zero_for_identical(rng):
