@@ -38,7 +38,7 @@ from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
                             DEFAULT_MAX_SITES, restricted_hamiltonian)
 from .metrics import i_err, fvu, stationary_error, time_window, ErrorReport
-from .files import replacing
+from .files import write_csv, write_json
 
 
 class ConfigError(ValueError):
@@ -152,11 +152,15 @@ def load_config(path):
     sim = cfg.simulation
     if sim.dt <= 0:
         raise ConfigError("simulation.dt must be positive")
+    if sim.T_train <= 0:
+        raise ConfigError("simulation.T_train must be positive")
     _check_divides(sim.dt, sim.T_train, "T_train")
     _check_divides(sim.dt, sim.T_extrapolate, "T_extrapolate")
     if sim.T_extrapolate < sim.T_train:
         raise ConfigError("T_extrapolate must be >= T_train")
     for name, value, least in (
+            ("simulation.n_trajectories", sim.n_trajectories, 1),
+            ("simulation.n_eval_trajectories", sim.n_eval_trajectories, 0),
             ("training.batch_size", cfg.training.batch_size, 1),
             ("training.batches_per_epoch", cfg.training.batches_per_epoch, 1),
             ("training.epochs", cfg.training.epochs, 0),
@@ -199,24 +203,6 @@ def _map(fn, jobs, threads):
     return [fn(job) for job in jobs]
 
 
-def _write_csv(path, cols, rows):
-    """Header plus one line per row: strings as they are, numbers at 17
-    significant digits.  A column holds strings or numbers throughout, so
-    the first row sets the format of every row."""
-    lines = [",".join(cols)]
-    if rows:
-        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
-        lines += [fmt % tuple(row) for row in rows]
-    with replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_json(path, obj):
-    with replacing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_gen_data(cfg, out, threads=1):
     """Write train/eval trajectory files and a deterministic manifest."""
     return _gen_data(cfg, out, threads)[0]
@@ -236,9 +222,9 @@ def _gen_data(cfg, out, threads=1, keep=False):
             for role, names in files.items() for i, name in enumerate(names)]
     trajectories = _map(_gen_worker, jobs, threads)
     mpath = os.path.join(dirs["data"], "manifest.json")
-    _write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
-                        "train_files": files["train"],
-                        "eval_files": files["eval"]})
+    write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
+                       "train_files": files["train"],
+                       "eval_files": files["eval"]}, indent=2)
     return mpath, trajectories
 
 
@@ -266,12 +252,6 @@ def _load_manifest(manifest_path):
             raise ConfigError(f"{manifest_path}: {key} must be a list of "
                               f"file names, got {names!r}")
     return manifest, os.path.dirname(manifest_path)
-
-
-def _check_eval_files(names, manifest_path):
-    if not names:
-        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
-                          "set simulation.n_eval_trajectories >= 1")
 
 
 def _cellwise(fn, *columns):
@@ -377,7 +357,9 @@ def _epsilon_pipeline(cfg, L):
 def cmd_eval(cfg, model_path, manifest_path, out):
     """Fidelity report for a learned model against the eval trajectories."""
     manifest, data_dir = _load_manifest(manifest_path)
-    _check_eval_files(manifest["eval_files"], manifest_path)
+    if not manifest["eval_files"]:
+        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
+                          "set simulation.n_eval_trajectories >= 1")
     dirs = _dirs(cfg, out)
     params, basis, model_dt, _ = load_model(model_path)
     if abs(model_dt - cfg.simulation.dt) > 1e-12:
@@ -392,7 +374,6 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
     """Write the time series and eval report of generator L against the
     exact trajectories; returns the report."""
     sim, met = cfg.simulation, cfg.metrics
-    notes = {}
     ie_i, ie_e, fv_i, fv_e = [], [], [], []
     for idx, exact in enumerate(exact_trajectories):
         pred = replace(exact, snapshots=propagate_trajectory(
@@ -402,14 +383,11 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
                           exact, pred)
         ie_i.append(i_err(exact, pred, 0.0, sim.T_train))
         fv_i.append(fvu(time_window(exact, 0.0, sim.T_train),
-                        time_window(pred, 0.0, sim.T_train)).value)
+                        time_window(pred, 0.0, sim.T_train)))
         if exact.dt * exact.n_steps >= sim.T_extrapolate - 1e-9:
             ie_e.append(i_err(exact, pred, sim.T_train, sim.T_extrapolate))
             fv_e.append(fvu(time_window(exact, sim.T_train, sim.T_extrapolate),
-                            time_window(pred, sim.T_train,
-                                        sim.T_extrapolate)).value)
-        else:
-            notes["extrapolation"] = "missing data: interpolation-only report"
+                            time_window(pred, sim.T_train, sim.T_extrapolate)))
 
     eps, eps_status, info, _ = _epsilon_pipeline(cfg, L)
     report = ErrorReport(
@@ -422,7 +400,7 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
         extrap_window=(sim.T_train, sim.T_extrapolate),
         a=met.a, b=met.b, tau=info.tau,
         n_initial_conditions=met.n_initial_conditions,
-        epsilon_status=eps_status, notes=notes)
+        epsilon_status=eps_status)
     _write_report_csv(os.path.join(dirs["report"], "eval_report.csv"), report)
     return report
 
@@ -434,7 +412,7 @@ def _write_timeseries(path, exact, pred):
     cols += [f"model_v_{k}" for k in range(1, n + 1)]
     rows = np.column_stack((exact.times(), exact.snapshots,
                             pred.snapshots)).tolist()
-    _write_csv(path, cols, rows)
+    write_csv(path, cols, rows)
 
 
 def _write_report_csv(path, report):
@@ -451,7 +429,7 @@ def _write_report_csv(path, report):
             report.a, report.b,
             "" if report.tau is None else report.tau,
             report.n_initial_conditions]
-    _write_csv(path, head, [vals])
+    write_csv(path, head, [vals])
 
 
 _SCAN_AXES = {"I": ("beta", "V_prime"), "II": ("alpha", "V")}
@@ -490,7 +468,7 @@ def _scan_cell(args):
 
 def _scan_setup(cfg, v1, v2, out):
     """A cell's config and directories, and its trajectories written as
-    gen-data writes them: (cfg, dirs, train, eval, manifest path)."""
+    gen-data writes them: (cfg, dirs, train, eval)."""
     a1, a2 = cfg.scan.axis1_name, cfg.scan.axis2_name
     cell_model = replace(cfg.model, **{a1: v1, a2: v2})
     cell_seed = derive_seed(cfg.simulation.seed, "cell", a1, repr(v1),
@@ -498,15 +476,14 @@ def _scan_setup(cfg, v1, v2, out):
     cell_cfg = replace(cfg, model=cell_model,
                        simulation=replace(cfg.simulation, seed=cell_seed))
     cell_out = os.path.join(out, "scan", _cell_dir_name(a1, v1, a2, v2))
-    mpath, trajs = _gen_data(cell_cfg, cell_out, keep=True)
+    trajs = _gen_data(cell_cfg, cell_out, keep=True)[1]
     n_train = cell_cfg.simulation.n_trajectories
     return (cell_cfg, _dirs(cell_cfg, cell_out), trajs[:n_train],
-            trajs[n_train:], mpath)
+            trajs[n_train:])
 
 
 def _scan_eval(cell, fit):
-    cfg, dirs, _, exact, mpath = cell
-    _check_eval_files(exact, mpath)
+    cfg, dirs, _, exact = cell
     return _evaluate(cfg, assemble_generator(fit[1], build_pauli_basis(2)),
                      exact, dirs)
 
@@ -524,8 +501,14 @@ def cmd_scan(cfg, out, threads=1):
         if name not in allowed:
             raise ConfigError(f"scan axis {name!r} not in {allowed} for "
                               f"variant {cfg.model.variant}")
+    if scan.axis1_name == scan.axis2_name:
+        raise ConfigError(f"scan axes must be two parameters, got "
+                          f"{scan.axis1_name!r} twice")
     if not scan.axis1_values or not scan.axis2_values:
         raise ConfigError("scan requires nonempty axis value lists")
+    if cfg.simulation.n_eval_trajectories < 1:
+        raise ConfigError("scan evaluates every cell; set "
+                          "simulation.n_eval_trajectories >= 1")
     values = [(v1, v2) for v1 in scan.axis1_values for v2 in scan.axis2_values]
     names = [_cell_dir_name(scan.axis1_name, v1, scan.axis2_name, v2)
              for v1, v2 in values]
@@ -540,9 +523,9 @@ def cmd_scan(cfg, out, threads=1):
     rows = [row for group in _map(_scan_cell, groups, n_groups) for row in group]
     os.makedirs(os.path.join(out, "scan"), exist_ok=True)
     csv_path = os.path.join(out, "scan", "scan_results.csv")
-    _write_csv(csv_path, ["axis1", "axis2", "i_err_interp", "i_err_extrap",
-                          "fvu_interp", "fvu_extrap", "epsilon", "status"],
-               rows)
+    write_csv(csv_path, ["axis1", "axis2", "i_err_interp", "i_err_extrap",
+                         "fvu_interp", "fvu_extrap", "epsilon", "status"],
+              rows)
     return csv_path
 
 
@@ -570,7 +553,7 @@ def cmd_stationary(cfg, model_path, out):
         report["rho_st_re"] = rho_st.real.tolist()
         report["rho_st_im"] = rho_st.imag.tolist()
     rpath = os.path.join(dirs["report"], "stationary_report.json")
-    _write_json(rpath, report)
+    write_json(rpath, report, indent=2)
     if trajs:
         _write_observables(os.path.join(dirs["report"],
                                         "stationary_observables.csv"),
@@ -591,7 +574,7 @@ def _write_observables(path, exact, L, info):
         # expectation of the two-spin Pauli word is 2 * v component
         series += [2 * exact.snapshots[:, ci], 2 * pred[:, ci],
                    np.full(t.size, 2 * info.v_st[ci])]
-    _write_csv(path, cols, np.column_stack(series).tolist())
+    write_csv(path, cols, np.column_stack(series).tolist())
 
 
 def reference_two_spin_hamiltonian(model):
@@ -643,7 +626,7 @@ def cmd_interpret(cfg, model_path, out):
         "dominant_jump_alignment_sigma_z_sum": j_align,
     }
     rpath = os.path.join(dirs["report"], "interpret_report.json")
-    _write_json(rpath, report)
+    write_json(rpath, report, indent=2)
     return rpath
 
 

@@ -1,6 +1,8 @@
-"""Output files that a failing writer never leaves half written."""
+"""The package's one file writer: CSV and JSON files that a failing writer
+never leaves half written."""
 
 import contextlib
+import json
 import os
 
 
@@ -26,3 +28,24 @@ def replacing(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, cols, rows, head=()):
+    """The `head` lines as they are, a header of `cols`, then one line per
+    row: strings as they are, numbers at 17 significant digits.  A column
+    holds strings or numbers throughout, so the first row sets the format
+    of every row."""
+    lines = [*head, ",".join(cols)]
+    if rows:
+        fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+        lines += [fmt % tuple(row) for row in rows]
+    with replacing(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, obj, indent=None):
+    """`obj` as JSON with sorted keys and a final newline; `indent` as
+    json.dump takes it."""
+    with replacing(path) as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")

@@ -51,12 +51,13 @@ alone, so its result does not depend on the rest of the stack.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import replacing
+from .files import write_json
 from .spin_algebra import BasisSet, basis_for_dimension
 
 # Taylor degrees m that Paterson-Stockmeyer evaluates most cheaply, and the
@@ -361,17 +362,17 @@ def _taylor_plan(norm: float):
 
 def _plan_groups(A: np.ndarray) -> list:
     """[(indices, m, s)] for the matrices of A, one matrix or a stack
-    (C, d, d), that share each Taylor plan, largest plan last; the indices
-    are slice(None) when all share one plan."""
+    (C, d, d), that share each Taylor plan, largest plan last.  The indices
+    of one matrix, or of consecutive ones, are a slice: it takes and puts
+    back a group without the copies a list of indices costs."""
     norms = _one_norms(A)
     if norms.ndim == 0:
         return [(slice(None), *_taylor_plan(float(norms)))]
     groups = {}
     for k, norm in enumerate(norms.tolist()):
         groups.setdefault(_taylor_plan(norm), []).append(k)
-    if len(groups) == 1:
-        return [(slice(None), *next(iter(groups)))]
-    return [(idx, m, s) for (m, s), idx in sorted(groups.items())]
+    return [(slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx,
+             m, s) for (m, s), idx in sorted(groups.items())]
 
 
 @functools.cache
@@ -470,9 +471,6 @@ def _propagate(A: np.ndarray):
     """
     groups = _plan_groups(A)
     At = A.swapaxes(-1, -2)
-    if len(groups) == 1:
-        P, state = _taylor(At, *groups[0][1:])
-        return P.swapaxes(-1, -2), groups, [state]
     P = np.empty_like(A)
     states = []
     for idx, m, s in groups:
@@ -509,12 +507,9 @@ def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.nd
     scaling, and is exact for the forward truncation.  Each matrix of a
     stack keeps its forward plan.
     """
-    if len(cache.groups) == 1:
-        F = _taylor_frechet(cache.states[0], M_bar)
-    else:
-        F = np.empty_like(M_bar)
-        for (idx, _, _), state in zip(cache.groups, cache.states):
-            F[idx] = _taylor_frechet(state, M_bar[idx])
+    F = np.empty_like(M_bar)
+    for (idx, _, _), state in zip(cache.groups, cache.states):
+        F[idx] = _taylor_frechet(state, M_bar[idx])
     return dt * F
 
 
@@ -601,8 +596,6 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
     Derived blocks (Kossakowski matrix and generator spectrum) are
     regenerated from the parameters on every save.
     """
-    import json
-
     c = kossakowski_from_factors(params.X, params.Y)
     w = np.linalg.eigvals(assemble_generator(params, basis))
     payload = {
@@ -622,9 +615,7 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
     }
     if extra:
         payload["extra"] = extra
-    with replacing(path) as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, indent=1)
 
 
 def load_model(path):
@@ -634,8 +625,6 @@ def load_model(path):
     dt not a positive finite number, or omega, X and Y not finite numbers
     of the shapes d sets, is refused with ValueError.
     """
-    import json
-
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):

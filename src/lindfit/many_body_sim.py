@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .files import replacing
+from .files import write_csv
 from .spin_algebra import (build_pauli_basis, ginibre_density_matrix,
                            rho_to_coherence)
 
@@ -285,7 +285,7 @@ def generate_trajectory(model, dt, n_steps, seed,
 def save_trajectory(path, traj):
     """Key=value header plus CSV snapshot rows at 17 significant digits."""
     m = traj.model
-    lines = [
+    head = [
         f"variant={m.variant}",
         f"n_sites={m.n_sites}",
         f"omega={m.omega:.17g}",
@@ -298,13 +298,9 @@ def save_trajectory(path, traj):
         f"seed={'' if traj.seed is None else traj.seed}",
         f"convention_id={build_pauli_basis(2).convention_id}",
     ]
-    ncomp = traj.snapshots.shape[1]
-    lines.append("step," + ",".join(f"v_{k}" for k in range(1, ncomp + 1)))
-    row_fmt = "%d" + ",%.17g" * ncomp
-    lines += [row_fmt % (k, *row)
-              for k, row in enumerate(traj.snapshots.tolist())]
-    with replacing(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    cols = ["step"] + [f"v_{k}" for k in range(1, traj.snapshots.shape[1] + 1)]
+    write_csv(path, cols, [(k, *row) for k, row in
+                           enumerate(traj.snapshots.tolist())], head=head)
 
 
 def load_trajectory(path):

@@ -7,7 +7,7 @@ objects.  The operator basis is inferred from the snapshot width.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,23 +63,13 @@ def i_err(exact, predicted, t_in, t_fin):
     return float(_trapezoid(dist, dx=dt) / (t_fin - t_in))
 
 
-@dataclass
-class FvuResult:
-    """Fraction of variance unexplained, averaged over usable components.
-
-    Components whose exact-signal population variance falls below VAR_FLOOR
-    are excluded and listed; with nothing left the result is undefined.
-    """
-    value: float
-    included: tuple
-    excluded: tuple
-    undefined: bool = False
-
-    def __float__(self):
-        return self.value
-
-
 def fvu(exact, predicted):
+    """Fraction of variance unexplained, sqrt(var(exact - predicted) /
+    var(exact)) averaged over the components that vary.
+
+    Components whose exact-signal population variance falls below
+    VAR_FLOOR are left out; with none left the result is nan.
+    """
     ve, vp = exact.snapshots, predicted.snapshots
     if ve.shape != vp.shape:
         raise ValueError(f"snapshot shapes differ: {ve.shape} vs {vp.shape}")
@@ -87,14 +77,9 @@ def fvu(exact, predicted):
     var_e = np.var(ve[:, :n], axis=0)
     var_d = np.var(ve[:, :n] - vp[:, :n], axis=0)
     keep = var_e >= VAR_FLOOR
-    included = tuple(int(i) for i in np.nonzero(keep)[0])
-    excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
-    if not included:
-        return FvuResult(value=math.nan, included=(), excluded=excluded,
-                         undefined=True)
-    ratios = np.sqrt(var_d[keep] / var_e[keep])
-    return FvuResult(value=float(ratios.mean()), included=included,
-                     excluded=excluded)
+    if not keep.any():
+        return math.nan
+    return float(np.sqrt(var_d[keep] / var_e[keep]).mean())
 
 
 def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
@@ -139,4 +124,3 @@ class ErrorReport:
     tau: float = None
     n_initial_conditions: int = 0
     epsilon_status: str = "ok"
-    notes: dict = field(default_factory=dict)

@@ -41,7 +41,7 @@ from .lindblad_generator import (
     propagate_backward,
     propagate_with_cache,
 )
-from .files import replacing
+from .files import write_csv, write_json
 from .spin_algebra import basis_for_dimension
 
 
@@ -66,14 +66,6 @@ class Dataset:
     dt: float
     train: np.ndarray
     val: np.ndarray
-
-    @property
-    def n_train_pairs(self) -> int:
-        return self.train.shape[0]
-
-    @property
-    def n_val_pairs(self) -> int:
-        return self.val.shape[0]
 
 
 @dataclass
@@ -221,7 +213,7 @@ def train(config: TrainConfig, dataset):
     """
     single = isinstance(dataset, Dataset)
     datasets = [dataset] if single else list(dataset)
-    results = [ValueError("empty training set") if ds.n_train_pairs == 0 else None
+    results = [ValueError("empty training set") if len(ds.train) == 0 else None
                for ds in datasets]
     live = [i for i, r in enumerate(results) if r is None]
     if live:
@@ -247,7 +239,7 @@ def _train_cells(config, datasets, ids, results):
     state = AdamState(m=np.zeros_like(params.theta), v=np.zeros_like(params.theta))
     # the training tables one after another; cell c's rows start at offsets[c]
     pairs = np.concatenate([ds.train for ds in datasets])
-    sizes = [ds.n_train_pairs for ds in datasets]
+    sizes = [len(ds.train) for ds in datasets]
     offsets = [sum(sizes[:c]) for c in range(len(sizes))]
     dts = np.array([ds.dt for ds in datasets])[:, None, None]
     histories = [([], []) for _ in datasets]
@@ -298,10 +290,9 @@ def _train_cells(config, datasets, ids, results):
 
 def save_loss_curves(path, train_history, val_history) -> None:
     """CSV with one row per epoch: epoch, train_loss, val_loss."""
-    with replacing(path) as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, (tr, va) in enumerate(zip(train_history, val_history)):
-            fh.write(f"{epoch},{tr:.17g},{va:.17g}\n")
+    write_csv(path, ["epoch", "train_loss", "val_loss"],
+              [(epoch, tr, va) for epoch, (tr, va)
+               in enumerate(zip(train_history, val_history))])
 
 
 def _leaves(theta: np.ndarray) -> dict:
@@ -314,9 +305,7 @@ def save_checkpoint(path, params: GeneratorParams, state: AdamState,
                     train_history, val_history, dt: float, convention_id: str) -> None:
     """The final parameters, Adam state and histories of a run, as JSON, for
     audit; nothing reads it back."""
-    import json
-
-    payload = {
+    write_json(path, {
         "format": "lindfit-checkpoint-v1",
         "convention_id": convention_id,
         "dt": dt,
@@ -324,7 +313,4 @@ def save_checkpoint(path, params: GeneratorParams, state: AdamState,
         "adam": {"step": state.step, "m": _leaves(state.m), "v": _leaves(state.v)},
         "train_history": list(map(float, train_history)),
         "val_history": [float(x) for x in val_history],
-    }
-    with replacing(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    })

@@ -446,7 +446,6 @@ def test_eval_flags_missing_extrapolation(tmp_path):
     report = cmd_eval(cfg, model_path, mpath, out)
     assert math.isnan(report.i_err_extrap)
     assert math.isnan(report.fvu_extrap)
-    assert "extrapolation" in report.notes
     assert report.i_err_interp < 1e-12
 
 
@@ -480,13 +479,16 @@ def test_scan_grid_and_failure_rows(tmp_path):
 
 
 def test_scan_rejects_bad_axis(tmp_path):
-    over = {"model": {"variant": "II", "n_sites": 4, "omega": 1.0, "V": 0.1,
-                      "alpha": 0.3, "beta": 0.0, "V_prime": 0.0},
-            "scan": {"axis1_name": "beta", "axis1_values": [0.0],
-                     "axis2_name": "V", "axis2_values": [0.1]}}
-    cfg = load_config(_write_config(tmp_path, over))
-    with pytest.raises(ConfigError):
-        cmd_scan(cfg, str(tmp_path / "run"))
+    model = {"variant": "II", "n_sites": 4, "omega": 1.0, "V": 0.1,
+             "alpha": 0.3, "beta": 0.0, "V_prime": 0.0}
+    for scan in ({"axis1_name": "beta", "axis1_values": [0.0],  # not a variant II axis
+                  "axis2_name": "V", "axis2_values": [0.1]},
+                 {"axis1_name": "alpha", "axis1_values": [0.5, 2.0],  # one axis twice
+                  "axis2_name": "alpha", "axis2_values": [1.0]}):
+        cfg = load_config(_write_config(tmp_path, {"model": model, "scan": scan}))
+        with pytest.raises(ConfigError):
+            cmd_scan(cfg, str(tmp_path / "run"))
+        assert not os.path.exists(tmp_path / "run")
 
 
 @pytest.mark.parametrize("alphas", [[1.0000001, 1.0000002], [0.5, 0.5], [1, 1.0]],
@@ -623,18 +625,27 @@ def test_main_capacity_error(tmp_path, capsys):
     ({"metrics": {"a": 10.0, "b": 5.0}}, ["gen-data"]),
     ({"metrics": {"a": 5.0, "b": 5.0}}, ["gen-data"]),
     ({"metrics": {"a": -1.0}}, ["gen-data"]),
+    ({"simulation": {"T_train": 0.0}}, ["gen-data"]),
+    ({"simulation": {"n_trajectories": 0}}, ["gen-data"]),
+    ({"simulation": {"n_eval_trajectories": -1}}, ["gen-data"]),
+    ({"simulation": {"n_eval_trajectories": 0},
+      "scan": {"axis1_name": "beta", "axis1_values": [0.0],
+               "axis2_name": "V_prime", "axis2_values": [0.3]}}, ["scan"]),
 ], ids=["batch_size", "batches_per_epoch", "epochs", "n_initial_conditions",
         "no_eval_files", "max_window_steps", "a_above_b", "a_equals_b",
-        "a_negative"])
+        "a_negative", "T_train", "n_trajectories", "n_eval_negative",
+        "scan_no_eval_files"])
 def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     cfg_path = _write_config(tmp_path, overrides)
     out = str(tmp_path / "run")
     for cmd in commands[:-1]:
         assert main(["--config", cfg_path, "--out", out, cmd]) == 0
     capsys.readouterr()
+    written = sorted(tmp_path.rglob("*"))
     rc = main(["--config", cfg_path, "--out", out, commands[-1]])
     captured = capsys.readouterr()
     assert rc == 1
+    assert sorted(tmp_path.rglob("*")) == written  # refused before any work
     assert "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1

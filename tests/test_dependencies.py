@@ -109,3 +109,29 @@ def test_package_has_no_unused_imports_or_private_names():
         assert not unused, f"{name} imports {unused} and never uses them"
         dead = sorted(set(_private_definitions(tree)) - in_package)
         assert not dead, f"{name} defines {dead}, which nothing reads"
+
+
+def _file_writes(tree):
+    """Calls that write a file: replacing, json.dump, and open with a mode
+    that writes (or one not given as a literal)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        if func.split(".")[-1] == "replacing" or func in ("json.dump", "dump"):
+            yield f"{func} at line {node.lineno}"
+        elif func == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(str(mode.value)) & set("wax+")):
+                yield f"open(..., {ast.unparse(mode)}) at line {node.lineno}"
+
+
+def test_only_files_writes_files():
+    """lindfit.files is the one writer, so every output file is replaced
+    whole, with one number format and one JSON layout."""
+    for name, tree in _trees():
+        if name != "files.py":
+            writes = list(_file_writes(tree))
+            assert not writes, f"{name} writes files itself: {writes}"

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lindfit import cli, files
+from lindfit import files
 from lindfit.lindblad_generator import GeneratorParams, save_model
 from lindfit.many_body_sim import SpinChainModel, Trajectory, save_trajectory
 from lindfit.spin_algebra import build_pauli_basis
@@ -23,8 +23,8 @@ def _trajectory(scale):
 
 # each writer, called so that a second call writes different bytes
 WRITERS = {
-    "write_csv": lambda path, k: cli._write_csv(path, ["a", "b"], [[k, "x"], [2.0, "y"]]),
-    "write_json": lambda path, k: cli._write_json(path, {"k": k, "rows": list(range(50))}),
+    "write_csv": lambda path, k: files.write_csv(path, ["a", "b"], [[k, "x"], [2.0, "y"]]),
+    "write_json": lambda path, k: files.write_json(path, {"k": k, "rows": list(range(50))}),
     "save_trajectory": lambda path, k: save_trajectory(path, _trajectory(k)),
     "save_model": lambda path, k: save_model(path, _params(k), build_pauli_basis(2), 0.01),
     "save_checkpoint": lambda path, k: save_checkpoint(

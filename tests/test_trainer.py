@@ -47,7 +47,7 @@ def _synthetic_trajectories(params, basis, dt, n_steps, n_traj, seed):
 def test_build_dataset_pair_alignment():
     snaps = np.arange(50, dtype=float).reshape(10, 5)
     ds = build_dataset([_traj(0.1, snaps)], split_fraction=1.0)
-    assert ds.n_train_pairs == 9 and ds.n_val_pairs == 0
+    assert len(ds.train) == 9 and len(ds.val) == 0
     assert ds.train.shape == (9, 10) and ds.val.shape == (0, 10)
     np.testing.assert_array_equal(ds.train[0, :5], snaps[0])
     np.testing.assert_array_equal(ds.train[0, 5:], snaps[1])
@@ -59,7 +59,7 @@ def test_build_dataset_splits_whole_trajectories():
     # tag every trajectory with a constant so pair provenance is visible
     trajs = [_traj(0.1, np.full((6, 4), float(k))) for k in range(10)]
     ds = build_dataset(trajs, split_fraction=0.8, rng=np.random.default_rng(3))
-    assert ds.n_train_pairs == 8 * 5 and ds.n_val_pairs == 2 * 5
+    assert len(ds.train) == 8 * 5 and len(ds.val) == 2 * 5
     # no pair mixes snapshots of two trajectories
     assert np.all(ds.train[:, :4] == ds.train[:, 4:])
     train_tags = set(np.unique(ds.train))
@@ -71,7 +71,7 @@ def test_build_dataset_splits_whole_trajectories():
 
 def test_build_dataset_single_trajectory_no_val():
     ds = build_dataset([_traj(0.1, np.zeros((4, 4)))])
-    assert ds.n_train_pairs == 3 and ds.n_val_pairs == 0
+    assert len(ds.train) == 3 and len(ds.val) == 0
 
 
 def test_build_dataset_rejects_bad_input():
