@@ -14,7 +14,7 @@ from .lindblad_generator import (GeneratorParams, SpectralInfo,
                                  save_model, load_model)
 from .trainer import (TrainConfig, Dataset, AdamState, TrainResult,
                       build_dataset, loss, loss_and_gradient,
-                      adam_step, train, save_loss_curves, save_checkpoint)
+                      adam_step, train, save_loss_curves)
 from .many_body_sim import (SpinChainModel, Trajectory, CapacityError,
                             model_hamiltonian, bath_sites,
                             build_bath_hamiltonian, bath_thermal_state,

@@ -32,8 +32,7 @@ from .lindblad_generator import (assemble_generator, propagate_trajectory,
                                  stationary_state, extract_hamiltonian,
                                  kossakowski_from_factors, jump_decomposition,
                                  save_model, load_model)
-from .trainer import TrainConfig, build_dataset, train, save_loss_curves, \
-    save_checkpoint
+from .trainer import TrainConfig, build_dataset, train, save_loss_curves
 from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
                             DEFAULT_MAX_SITES, restricted_hamiltonian)
@@ -156,8 +155,8 @@ def load_config(path):
         raise ConfigError("simulation.T_train must be positive")
     _check_divides(sim.dt, sim.T_train, "T_train")
     _check_divides(sim.dt, sim.T_extrapolate, "T_extrapolate")
-    if sim.T_extrapolate < sim.T_train:
-        raise ConfigError("T_extrapolate must be >= T_train")
+    if sim.T_extrapolate <= sim.T_train:
+        raise ConfigError("T_extrapolate must be > T_train")
     for name, value, least in (
             ("simulation.n_trajectories", sim.n_trajectories, 1),
             ("simulation.n_eval_trajectories", sim.n_eval_trajectories, 0),
@@ -210,16 +209,21 @@ def cmd_gen_data(cfg, out, threads=1):
 
 def _gen_data(cfg, out, threads=1, keep=False):
     """Write what cmd_gen_data writes; returns the manifest path and, with
-    keep, the trajectories, training ones first (else one None each)."""
+    keep, the trajectories, training ones first (else one None each).
+
+    Training trajectories end at T_train, the last time train reads; eval
+    trajectories run on to T_extrapolate.
+    """
     dirs = _dirs(cfg, out)
     sim = cfg.simulation
-    n_steps = int(round(sim.T_extrapolate / sim.dt))
+    roles = (("train", sim.n_trajectories, sim.T_train),
+             ("eval", sim.n_eval_trajectories, sim.T_extrapolate))
     files = {role: [f"{role}_{i:03d}.csv" for i in range(count)]
-             for role, count in (("train", sim.n_trajectories),
-                                 ("eval", sim.n_eval_trajectories))}
-    jobs = [(cfg.model, sim.dt, n_steps, derive_seed(sim.seed, role, i),
+             for role, count, _ in roles}
+    jobs = [(cfg.model, sim.dt, int(round(T / sim.dt)),
+             derive_seed(sim.seed, role, i),
              os.path.join(dirs["data"], name), sim.max_sites, keep)
-            for role, names in files.items() for i, name in enumerate(names)]
+            for role, _, T in roles for i, name in enumerate(files[role])]
     trajectories = _map(_gen_worker, jobs, threads)
     mpath = os.path.join(dirs["data"], "manifest.json")
     write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
@@ -287,7 +291,7 @@ def cmd_train(cfg, manifest_path, out):
 
 def _fit(training, cells):
     """Train the generators of (cfg, dirs, training trajectories) cells in
-    lockstep and write each cell's model, checkpoint and loss curves.
+    lockstep and write each cell's model and loss curves.
 
     Each cell keeps its trajectories up to T_train, split by whole
     trajectories with its own split seed.  Returns, per cell, (model path,
@@ -312,16 +316,10 @@ def _dataset(cell):
 
 def _save_fit(cell, result):
     cfg, dirs = cell[:2]
-    basis = build_pauli_basis(2)
-    dt = cfg.simulation.dt
     model_path = os.path.join(dirs["model"], "model.json")
-    save_model(model_path, result.params, basis, dt,
+    save_model(model_path, result.params, build_pauli_basis(2), cfg.simulation.dt,
                extra={"final_train_loss": result.train_history[-1],
                       "final_val_loss": result.val_history[-1]})
-    save_checkpoint(os.path.join(dirs["model"], "checkpoint.json"),
-                    result.params, result.final_state,
-                    result.train_history, result.val_history,
-                    dt, basis.convention_id)
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
                      result.train_history, result.val_history)
     return model_path, result.params

@@ -86,7 +86,8 @@ def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
     """Mean trace-norm distance between the [a*tau, b*tau] time average of
     each exact trajectory and the stationary state v_st.
 
-    tau=None (no spectral gap) yields nan: the window is undefined.
+    tau=None (no spectral gap) yields nan: the window is undefined.  A
+    window holding fewer than two snapshots of a trajectory is refused.
     """
     if tau is None:
         return math.nan
@@ -104,6 +105,10 @@ def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
         t = traj.times()
         mask = (t >= a * tau - 1e-9 * tau) & (t <= b * tau + 1e-9 * tau)
         tw = t[mask]
+        if tw.size < 2:
+            raise ValueError(f"stationary window [{a * tau:.6g}, {b * tau:.6g}] "
+                             f"holds {tw.size} snapshots at dt={traj.dt:.6g}; "
+                             "a time average needs at least 2")
         vbar = _trapezoid(v[mask], tw, axis=0) / (tw[-1] - tw[0])
         eps.append(trace_norm(coherence_to_matrix(vbar, basis) - rho_st))
     return float(np.mean(eps))

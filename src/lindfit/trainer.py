@@ -41,7 +41,7 @@ from .lindblad_generator import (
     propagate_backward,
     propagate_with_cache,
 )
-from .files import write_csv, write_json
+from .files import write_csv
 from .spin_algebra import basis_for_dimension
 
 
@@ -82,7 +82,6 @@ class TrainResult:
     params: GeneratorParams
     train_history: list
     val_history: list
-    final_state: AdamState = None
 
 
 def build_dataset(trajectories, split_fraction: float = 0.8,
@@ -283,9 +282,7 @@ def _train_cells(config, datasets, ids, results):
     for c, (train_h, val_h) in enumerate(histories):
         results[ids[c]] = TrainResult(
             params=GeneratorParams.from_theta(params.theta[c].copy()),
-            train_history=train_h, val_history=val_h,
-            final_state=AdamState(m=state.m[c].copy(), v=state.v[c].copy(),
-                                  step=state.step))
+            train_history=train_h, val_history=val_h)
 
 
 def save_loss_curves(path, train_history, val_history) -> None:
@@ -293,24 +290,3 @@ def save_loss_curves(path, train_history, val_history) -> None:
     write_csv(path, ["epoch", "train_loss", "val_loss"],
               [(epoch, tr, va) for epoch, (tr, va)
                in enumerate(zip(train_history, val_history))])
-
-
-def _leaves(theta: np.ndarray) -> dict:
-    params = GeneratorParams.from_theta(theta)
-    return {"omega": params.omega.tolist(), "X": params.X.tolist(),
-            "Y": params.Y.tolist()}
-
-
-def save_checkpoint(path, params: GeneratorParams, state: AdamState,
-                    train_history, val_history, dt: float, convention_id: str) -> None:
-    """The final parameters, Adam state and histories of a run, as JSON, for
-    audit; nothing reads it back."""
-    write_json(path, {
-        "format": "lindfit-checkpoint-v1",
-        "convention_id": convention_id,
-        "dt": dt,
-        "params": _leaves(params.theta),
-        "adam": {"step": state.step, "m": _leaves(state.m), "v": _leaves(state.v)},
-        "train_history": list(map(float, train_history)),
-        "val_history": [float(x) for x in val_history],
-    })

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,20 +115,22 @@ def test_gen_data_files_and_manifest(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     out = str(tmp_path / "run")
     mpath = cmd_gen_data(cfg, out)
-    manifest = json.loads(open(mpath).read())
+    manifest = json.loads(Path(mpath).read_text())
     assert manifest["train_files"] == ["train_000.csv", "train_001.csv", "train_002.csv"]
     assert manifest["eval_files"] == ["eval_000.csv", "eval_001.csv"]
     assert manifest["model"]["variant"] == "I"
-    for name in manifest["train_files"] + manifest["eval_files"]:
-        traj = load_trajectory(os.path.join(out, "data", name))
-        assert traj.snapshots.shape == (11, 16)  # T_extrapolate/dt + 1 rows
+    # training files end at T_train, eval files at T_extrapolate
+    for key, n_rows in (("train_files", 6), ("eval_files", 11)):
+        for name in manifest[key]:
+            traj = load_trajectory(os.path.join(out, "data", name))
+            assert traj.snapshots.shape == (n_rows, 16)  # T/dt + 1 rows
     # regenerating must be byte-identical
-    first = open(mpath, "rb").read()
+    first = Path(mpath).read_bytes()
     datafile = os.path.join(out, "data", "train_000.csv")
-    blob = open(datafile, "rb").read()
+    blob = Path(datafile).read_bytes()
     cmd_gen_data(cfg, out)
-    assert open(mpath, "rb").read() == first
-    assert open(datafile, "rb").read() == blob
+    assert Path(mpath).read_bytes() == first
+    assert Path(datafile).read_bytes() == blob
 
 
 def test_gen_data_threads_match_sequential(tmp_path):
@@ -137,8 +140,8 @@ def test_gen_data_threads_match_sequential(tmp_path):
     cmd_gen_data(cfg, seq)
     cmd_gen_data(cfg, par, threads=2)
     for name in ("train_000.csv", "eval_001.csv", "manifest.json"):
-        a = open(os.path.join(seq, "data", name), "rb").read()
-        b = open(os.path.join(par, "data", name), "rb").read()
+        a = Path(seq, "data", name).read_bytes()
+        b = Path(par, "data", name).read_bytes()
         assert a == b
 
 
@@ -212,12 +215,12 @@ def test_train_writes_artifacts(tmp_path):
     mpath = cmd_gen_data(cfg, out)
     model_path = cmd_train(cfg, mpath, out)
     assert os.path.exists(model_path)
-    payload = json.loads(open(model_path).read())
+    payload = json.loads(Path(model_path).read_text())
     assert payload["format"] == "lindfit-model-v1"
     assert payload["dt"] == 0.1
     assert "final_train_loss" in payload["extra"]
-    assert os.path.exists(os.path.join(out, "models", "checkpoint.json"))
-    curves = open(os.path.join(out, "reports", "loss_curves.csv")).read().strip().split("\n")
+    assert not os.path.exists(os.path.join(out, "models", "checkpoint.json"))
+    curves = Path(out, "reports", "loss_curves.csv").read_text().strip().split("\n")
     assert curves[0] == "epoch,train_loss,val_loss"
     assert len(curves) == cfg.training.epochs + 2
 
@@ -257,10 +260,10 @@ def test_eval_on_own_dynamics_is_exact(tmp_path):
     assert report.epsilon_status == "ok"
     assert math.isfinite(report.epsilon_stationary)
     ts = os.path.join(out, "reports", "timeseries_eval_000.csv")
-    header = open(ts).readline().strip().split(",")
+    header = Path(ts).read_text().splitlines()[0].split(",")
     assert header[0] == "t_over_omega_inv"
     assert "exact_v_1" in header and "model_v_16" in header
-    rep_csv = open(os.path.join(out, "reports", "eval_report.csv")).read().split("\n")
+    rep_csv = Path(out, "reports", "eval_report.csv").read_text().split("\n")
     assert rep_csv[0].startswith("i_err_interp,i_err_extrap")
 
 
@@ -399,7 +402,7 @@ def test_scan_csv_matches_reference_and_threads(tmp_path, monkeypatch):
         assert rows[2][-1].startswith("failed: ValueError")
         ref = run / "ref.csv"
         _write_scan_csv_cell_reference(ref, rows)
-        assert open(seq_csv, "rb").read() == ref.read_bytes()
+        assert Path(seq_csv).read_bytes() == ref.read_bytes()
 
         cmd_scan(cfg, str(run / "par"), threads=2)
         seq_files = sorted(os.path.relpath(os.path.join(d, f), run / "seq")
@@ -436,7 +439,7 @@ def test_scan_cells_match_per_command_runs(tmp_path):
                                for d, _, fs in os.walk(scan_dir) for f in fs)
         assert "models/model.json" in files
         for name in files:
-            assert open(os.path.join(out, name), "rb").read() == \
+            assert Path(out, name).read_bytes() == \
                 (scan_dir / name).read_bytes(), name
 
 
@@ -465,7 +468,7 @@ def test_scan_grid_and_failure_rows(tmp_path):
     cfg = load_config(_write_config(tmp_path, over))
     out = str(tmp_path / "run")
     csv_path = cmd_scan(cfg, out)
-    lines = open(csv_path).read().strip().split("\n")
+    lines = Path(csv_path).read_text().strip().split("\n")
     assert lines[0] == ("axis1,axis2,i_err_interp,i_err_extrap,fvu_interp,"
                         "fvu_extrap,epsilon,status")
     assert len(lines) == 3
@@ -508,14 +511,14 @@ def test_scan_refuses_axis_values_sharing_a_directory(tmp_path, alphas):
 def test_stationary_report_ok_path(tmp_path):
     cfg, model_path, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
     rpath = cmd_stationary(cfg, model_path, out)
-    report = json.loads(open(rpath).read())
+    report = json.loads(Path(rpath).read_text())
     assert report["epsilon_status"] == "ok"
     assert report["e_gap"] > 0
     assert report["tau_over_omega_inv"] == pytest.approx(1 / report["e_gap"])
     assert len(report["v_st"]) == 16
     assert report["v_st"][15] == pytest.approx(0.5, abs=1e-9)
     obs = os.path.join(out, "reports", "stationary_observables.csv")
-    header = open(obs).readline().strip().split(",")
+    header = Path(obs).read_text().splitlines()[0].split(",")
     assert header[:4] == ["t_over_omega_inv", "sz_1_exact", "sz_1_model",
                           "sz_1_stationary"]
 
@@ -526,7 +529,7 @@ def test_stationary_report_no_gap(tmp_path):
     pure = GeneratorParams(omega=np.ones(15) * 0.2, X=np.zeros((15, 15)),
                            Y=np.zeros((15, 15)))
     save_model(model_path, pure, basis, cfg.simulation.dt)
-    report = json.loads(open(cmd_stationary(cfg, model_path, out)).read())
+    report = json.loads(Path(cmd_stationary(cfg, model_path, out)).read_text())
     assert report["no_gap"] is True
     assert report["epsilon_status"] == "no_gap"
     assert report["epsilon_stationary"] is None
@@ -584,7 +587,7 @@ def test_interpret_identifies_planted_structure(tmp_path):
     params = GeneratorParams(omega=om, X=X, Y=np.zeros((15, 15)))
     model_path = os.path.join(out, "models", "model.json")
     save_model(model_path, params, basis, cfg.simulation.dt)
-    report = json.loads(open(cmd_interpret(cfg, model_path, out)).read())
+    report = json.loads(Path(cmd_interpret(cfg, model_path, out)).read_text())
     assert report["H_diff_fraction_on_sigma_z_sum"] > 0.99
     assert report["dominant_jump_alignment_sigma_z_sum"] > 0.99
     assert report["H_diff_hs_norm"] == pytest.approx(0.03 * np.sqrt(2), rel=1e-9)
@@ -626,6 +629,7 @@ def test_main_capacity_error(tmp_path, capsys):
     ({"metrics": {"a": 5.0, "b": 5.0}}, ["gen-data"]),
     ({"metrics": {"a": -1.0}}, ["gen-data"]),
     ({"simulation": {"T_train": 0.0}}, ["gen-data"]),
+    ({"simulation": {"T_extrapolate": 0.5}}, ["gen-data"]),
     ({"simulation": {"n_trajectories": 0}}, ["gen-data"]),
     ({"simulation": {"n_eval_trajectories": -1}}, ["gen-data"]),
     ({"simulation": {"n_eval_trajectories": 0},
@@ -633,8 +637,8 @@ def test_main_capacity_error(tmp_path, capsys):
                "axis2_name": "V_prime", "axis2_values": [0.3]}}, ["scan"]),
 ], ids=["batch_size", "batches_per_epoch", "epochs", "n_initial_conditions",
         "no_eval_files", "max_window_steps", "a_above_b", "a_equals_b",
-        "a_negative", "T_train", "n_trajectories", "n_eval_negative",
-        "scan_no_eval_files"])
+        "a_negative", "T_train", "T_extrapolate_equals_T_train", "n_trajectories",
+        "n_eval_negative", "scan_no_eval_files"])
 def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     cfg_path = _write_config(tmp_path, overrides)
     out = str(tmp_path / "run")
@@ -650,6 +654,28 @@ def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize("command", ["eval", "stationary"])
+def test_main_refuses_stationary_window_under_two_snapshots(tmp_path, capsys,
+                                                            command, budget):
+    # under a budget of a few steps the stand-in model's window [a tau, b tau]
+    # holds fewer than two snapshots of the coarse grid: refused, not 0/0
+    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg_path = _write_config(tmp_path, {"metrics": {"max_window_steps": budget}},
+                             name="budget.json")
+    args = ["--config", cfg_path, "--out", out, command, "--model", model_path]
+    rc = main(args + (["--manifest", mpath] if command == "eval" else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "stationary window" in err["message"] and "dt=" in err["message"]
+    assert not os.path.exists(os.path.join(out, "reports", "stationary_report.json"))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -768,6 +794,6 @@ def test_main_seed_override_changes_data(tmp_path):
     out_b = str(tmp_path / "b")
     assert main(["--config", cfg_path, "--out", out_a, "gen-data"]) == 0
     assert main(["--config", cfg_path, "--seed", "7", "--out", out_b, "gen-data"]) == 0
-    a = open(os.path.join(out_a, "data", "train_000.csv")).read()
-    b = open(os.path.join(out_b, "data", "train_000.csv")).read()
+    a = Path(out_a, "data", "train_000.csv").read_text()
+    b = Path(out_b, "data", "train_000.csv").read_text()
     assert a != b

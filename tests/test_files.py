@@ -9,7 +9,7 @@ from lindfit import files
 from lindfit.lindblad_generator import GeneratorParams, save_model
 from lindfit.many_body_sim import SpinChainModel, Trajectory, save_trajectory
 from lindfit.spin_algebra import build_pauli_basis
-from lindfit.trainer import AdamState, save_checkpoint, save_loss_curves
+from lindfit.trainer import save_loss_curves
 
 
 def _params(scale):
@@ -27,9 +27,6 @@ WRITERS = {
     "write_json": lambda path, k: files.write_json(path, {"k": k, "rows": list(range(50))}),
     "save_trajectory": lambda path, k: save_trajectory(path, _trajectory(k)),
     "save_model": lambda path, k: save_model(path, _params(k), build_pauli_basis(2), 0.01),
-    "save_checkpoint": lambda path, k: save_checkpoint(
-        path, _params(k), AdamState(m=np.zeros(465), v=np.zeros(465), step=3),
-        [1.0, k], [1.5, k], 0.01, "convention"),
     "save_loss_curves": lambda path, k: save_loss_curves(path, [1.0, k], [2.0, k]),
 }
 

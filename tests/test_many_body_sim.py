@@ -346,6 +346,22 @@ def test_generate_trajectory_deterministic():
     np.testing.assert_allclose(a.times(), 0.1 * np.arange(11), atol=1e-15)
 
 
+@pytest.mark.parametrize("model", [_ORACLE_I, _ORACLE_II], ids=["I", "II"])
+@pytest.mark.parametrize("chunk_rows", [None, 80], ids=["one-chunk", "chunk-80"])
+def test_shorter_trajectory_is_a_prefix_bit_for_bit(model, chunk_rows, monkeypatch):
+    # gen-data stops training trajectories at T_train and eval ones at
+    # T_extrapolate; a shorter run of a seed must be the longer run's first
+    # rows exactly, also where a phase chunk ends inside the short run
+    # (rows 80..100 of 101 against rows 80..159 of 201)
+    if chunk_rows is not None:
+        monkeypatch.setattr(mbs, "_PHASE_CHUNK_ELEMS", chunk_rows << model.n_sites)
+    for seed in (3, 4):
+        short = generate_trajectory(model, 0.05, 100, seed)
+        long = generate_trajectory(model, 0.05, 200, seed)
+        assert short.n_steps == 100
+        np.testing.assert_array_equal(short.snapshots, long.snapshots[:101])
+
+
 def test_trajectory_file_round_trip(tmp_path):
     model = SpinChainModel("II", 4, 1.0, 0.3, alpha=2.0, beta=0.5)
     traj = generate_trajectory(model, 0.07, 12, seed=4)

@@ -210,6 +210,12 @@ def test_stationary_error_window_rules():
         stationary_error([_traj(0.1, snaps)], v_st, tau=1.0)  # covers 4.9 < 10
     with pytest.raises(ValueError):
         stationary_error([_traj(0.1, np.tile(v_st, (101, 1)))], v_st, tau=1.0, a=5.0, b=5.0)
+    # a time average over fewer than two snapshots has no length to divide by
+    for tau, window, count in ((0.003, r"\[0.015, 0.03\]", 0),
+                               (0.015, r"\[0.075, 0.15\]", 1)):
+        with pytest.raises(ValueError,
+                           match=rf"window {window} holds {count} snapshots at dt=0.1"):
+            stationary_error([_traj(0.1, snaps)], v_st, tau=tau)
 
 
 def test_stationary_error_relaxing_qubit():
