@@ -21,7 +21,6 @@ from .many_body_sim import (SpinChainModel, Trajectory, CapacityError,
                             random_initial_subsystem_state, evolve_and_reduce,
                             generate_trajectory, save_trajectory,
                             load_trajectory)
-from .metrics import (trace_norm, i_err, fvu, stationary_error,
-                      ErrorReport)
+from .metrics import trace_norm, i_err, fvu, stationary_error
 
 __version__ = "0.1.0"

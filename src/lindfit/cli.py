@@ -36,7 +36,7 @@ from .trainer import TrainConfig, build_dataset, train, save_loss_curves
 from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
                             DEFAULT_MAX_SITES, restricted_hamiltonian)
-from .metrics import i_err, fvu, stationary_error, time_window, ErrorReport
+from .metrics import i_err, fvu, stationary_error, time_window
 from .files import write_csv, write_json
 
 
@@ -68,8 +68,8 @@ class MetricsBlock:
     a: float = 5.0
     b: float = 10.0
     n_initial_conditions: int = 10
-    # stationary windows longer than this many steps are refused rather
-    # than silently computed for hours
+    # a stationary window longer than this many steps of dt is sampled
+    # every `stride` steps, so no window trajectory takes more steps
     max_window_steps: int = 2_000_000
 
 
@@ -328,8 +328,10 @@ def _save_fit(cell, result):
 def _epsilon_pipeline(cfg, L):
     """Stationary-state distance for the config's exact dynamics.
 
-    Returns (epsilon, status, info, trajectories or None).  Long windows are
-    regenerated at a coarser grid under metrics.max_window_steps.
+    Returns (epsilon, status, info, trajectories or None).  The window
+    trajectories reach b*tau in steps of `stride` dt, the smallest stride
+    that keeps them within metrics.max_window_steps steps; both counts are
+    whole divisions of ceil(b*tau/dt), so the window fits and covers.
     """
     info = stationary_state(L)
     if info.no_gap:
@@ -337,12 +339,10 @@ def _epsilon_pipeline(cfg, L):
     if info.non_unique or info.v_st is None:
         return math.nan, "non_unique", info, None
     met, sim = cfg.metrics, cfg.simulation
-    horizon = met.b * info.tau
-    stride = max(1, int(math.ceil(horizon / sim.dt / met.max_window_steps)))
+    fine_steps = math.ceil(met.b * info.tau / sim.dt)
+    stride = max(1, -(-fine_steps // met.max_window_steps))
     dt_eps = sim.dt * stride
-    n_steps = int(math.ceil(horizon / dt_eps))
-    if n_steps > met.max_window_steps:
-        return math.nan, "window_budget_exceeded", info, None
+    n_steps = -(-fine_steps // stride)
     trajs = []
     for k in range(met.n_initial_conditions):
         seed = derive_seed(sim.seed, "stationary", k)
@@ -358,27 +358,46 @@ def cmd_eval(cfg, model_path, manifest_path, out):
     if not manifest["eval_files"]:
         raise ConfigError(f"{manifest_path} lists no eval trajectories; "
                           "set simulation.n_eval_trajectories >= 1")
-    dirs = _dirs(cfg, out)
-    params, basis, model_dt, _ = load_model(model_path)
+    params, basis, model_dt = _load_two_spin_model(model_path)
     if abs(model_dt - cfg.simulation.dt) > 1e-12:
         raise ConfigError(f"model dt={model_dt} differs from config "
                           f"dt={cfg.simulation.dt}")
+    dirs = _dirs(cfg, out)
     exact = [load_trajectory(os.path.join(data_dir, name))
              for name in manifest["eval_files"]]
     return _evaluate(cfg, assemble_generator(params, basis), exact, dirs)
 
 
+def _load_two_spin_model(path):
+    """load_model for the commands, which take two-spin (d = 4) generators
+    only: (params, basis, dt); any other d is refused before any work."""
+    params, basis, dt, _ = load_model(path)
+    if basis.d != 4:
+        raise ConfigError(f"{path}: model has d={basis.d}, the two-spin "
+                          "subsystem needs d=4")
+    return params, basis, dt
+
+
+# eval_report.csv's error columns, which also lead each scan row
+_ERRORS = ("i_err_interp", "i_err_extrap", "fvu_interp", "fvu_extrap",
+           "epsilon_stationary")
+
+
 def _evaluate(cfg, L, exact_trajectories, dirs):
-    """Write the time series and eval report of generator L against the
-    exact trajectories; returns the report."""
+    """Score generator L against the exact trajectories, then write the
+    time series and the eval report; returns the report row.
+
+    Every prediction, i_err, fvu and epsilon is computed before the first
+    file is written, so an evaluation that fails writes nothing.  The row
+    is a dict of eval_report.csv's columns in file order, tau written as
+    "" when it is undefined.
+    """
     sim, met = cfg.simulation, cfg.metrics
+    preds = [replace(exact, snapshots=propagate_trajectory(
+        L, exact.snapshots[0], exact.dt, exact.n_steps))
+        for exact in exact_trajectories]
     ie_i, ie_e, fv_i, fv_e = [], [], [], []
-    for idx, exact in enumerate(exact_trajectories):
-        pred = replace(exact, snapshots=propagate_trajectory(
-            L, exact.snapshots[0], exact.dt, exact.n_steps))
-        _write_timeseries(os.path.join(dirs["report"],
-                                       f"timeseries_eval_{idx:03d}.csv"),
-                          exact, pred)
+    for exact, pred in zip(exact_trajectories, preds):
         ie_i.append(i_err(exact, pred, 0.0, sim.T_train))
         fv_i.append(fvu(time_window(exact, 0.0, sim.T_train),
                         time_window(pred, 0.0, sim.T_train)))
@@ -386,21 +405,29 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
             ie_e.append(i_err(exact, pred, sim.T_train, sim.T_extrapolate))
             fv_e.append(fvu(time_window(exact, sim.T_train, sim.T_extrapolate),
                             time_window(pred, sim.T_train, sim.T_extrapolate)))
-
     eps, eps_status, info, _ = _epsilon_pipeline(cfg, L)
-    report = ErrorReport(
-        i_err_interp=float(np.mean(ie_i)),
-        i_err_extrap=float(np.mean(ie_e)) if ie_e else math.nan,
-        fvu_interp=float(np.nanmean(fv_i)),
-        fvu_extrap=float(np.nanmean(fv_e)) if fv_e else math.nan,
-        epsilon_stationary=eps,
-        interp_window=(0.0, sim.T_train),
-        extrap_window=(sim.T_train, sim.T_extrapolate),
-        a=met.a, b=met.b, tau=info.tau,
-        n_initial_conditions=met.n_initial_conditions,
-        epsilon_status=eps_status)
-    _write_report_csv(os.path.join(dirs["report"], "eval_report.csv"), report)
-    return report
+    row = dict(zip(_ERRORS, (
+        float(np.mean(ie_i)),
+        float(np.mean(ie_e)) if ie_e else math.nan,
+        float(np.nanmean(fv_i)),
+        float(np.nanmean(fv_e)) if fv_e else math.nan,
+        eps)))
+    row.update(epsilon_status=eps_status,
+               interp_start_over_omega_inv=0.0,
+               interp_end_over_omega_inv=sim.T_train,
+               extrap_start_over_omega_inv=sim.T_train,
+               extrap_end_over_omega_inv=sim.T_extrapolate,
+               a=met.a, b=met.b,
+               tau_over_omega_inv="" if info.tau is None else info.tau,
+               n_initial_conditions=met.n_initial_conditions)
+
+    for idx, (exact, pred) in enumerate(zip(exact_trajectories, preds)):
+        _write_timeseries(os.path.join(dirs["report"],
+                                       f"timeseries_eval_{idx:03d}.csv"),
+                          exact, pred)
+    write_csv(os.path.join(dirs["report"], "eval_report.csv"), list(row),
+              [list(row.values())])
+    return row
 
 
 def _write_timeseries(path, exact, pred):
@@ -411,23 +438,6 @@ def _write_timeseries(path, exact, pred):
     rows = np.column_stack((exact.times(), exact.snapshots,
                             pred.snapshots)).tolist()
     write_csv(path, cols, rows)
-
-
-def _write_report_csv(path, report):
-    head = ["i_err_interp", "i_err_extrap", "fvu_interp", "fvu_extrap",
-            "epsilon_stationary", "epsilon_status",
-            "interp_start_over_omega_inv", "interp_end_over_omega_inv",
-            "extrap_start_over_omega_inv", "extrap_end_over_omega_inv",
-            "a", "b", "tau_over_omega_inv", "n_initial_conditions"]
-    vals = [report.i_err_interp, report.i_err_extrap, report.fvu_interp,
-            report.fvu_extrap, report.epsilon_stationary,
-            report.epsilon_status,
-            report.interp_window[0], report.interp_window[1],
-            report.extrap_window[0], report.extrap_window[1],
-            report.a, report.b,
-            "" if report.tau is None else report.tau,
-            report.n_initial_conditions]
-    write_csv(path, head, [vals])
 
 
 _SCAN_AXES = {"I": ("beta", "V_prime"), "II": ("alpha", "V")}
@@ -453,14 +463,12 @@ def _scan_cell(args):
     rows = []
     for (v1, v2), report in zip(values, reports):
         if isinstance(report, Exception):
-            msg = f"failed: {type(report).__name__}: {report}"
-            msg = msg.replace(",", ";").replace("\n", " ")[:200]
-            rows.append((v1, v2, math.nan, math.nan, math.nan, math.nan,
-                         math.nan, msg))
+            status = f"failed: {type(report).__name__}: {report}"
+            status = status.replace(",", ";").replace("\n", " ")[:200]
+            errors = (math.nan,) * len(_ERRORS)
         else:
-            rows.append((v1, v2, report.i_err_interp, report.i_err_extrap,
-                         report.fvu_interp, report.fvu_extrap,
-                         report.epsilon_stationary, "ok"))
+            status, errors = "ok", tuple(report[key] for key in _ERRORS)
+        rows.append((v1, v2, *errors, status))
     return rows
 
 
@@ -521,16 +529,15 @@ def cmd_scan(cfg, out, threads=1):
     rows = [row for group in _map(_scan_cell, groups, n_groups) for row in group]
     os.makedirs(os.path.join(out, "scan"), exist_ok=True)
     csv_path = os.path.join(out, "scan", "scan_results.csv")
-    write_csv(csv_path, ["axis1", "axis2", "i_err_interp", "i_err_extrap",
-                         "fvu_interp", "fvu_extrap", "epsilon", "status"],
+    write_csv(csv_path, ["axis1", "axis2", *_ERRORS[:4], "epsilon", "status"],
               rows)
     return csv_path
 
 
 def cmd_stationary(cfg, model_path, out):
     """Stationary-state report plus long-time observable series."""
+    params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
-    params, basis, _, _ = load_model(model_path)
     L = assemble_generator(params, basis)
     eps, status, info, trajs = _epsilon_pipeline(cfg, L)
     report = {
@@ -588,8 +595,8 @@ def reference_two_spin_hamiltonian(model):
 
 def cmd_interpret(cfg, model_path, out):
     """Emit learned Hamiltonian/Kossakowski data and the jump decomposition."""
+    params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
-    params, basis, _, _ = load_model(model_path)
     H_learned = extract_hamiltonian(params, basis)
     H_ref = reference_two_spin_hamiltonian(cfg.model)
     diff = H_learned - H_ref
@@ -682,8 +689,8 @@ def main(argv=None):
         elif args.command == "eval":
             rep = cmd_eval(cfg, model_path or _default_model(cfg, out),
                            manifest or _default_manifest(cfg, out), out)
-            print(f"i_err_interp: {rep.i_err_interp:.6g}")
-            print(f"i_err_extrap: {rep.i_err_extrap:.6g}")
+            for key in _ERRORS[:2]:
+                print(f"{key}: {rep[key]:.6g}")
         elif args.command == "scan":
             path = cmd_scan(cfg, out, threads=args.threads)
             print(f"scan results: {path}")

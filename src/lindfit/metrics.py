@@ -7,7 +7,7 @@ objects.  The operator basis is inferred from the snapshot width.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -113,19 +113,3 @@ def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
         eps.append(trace_norm(coherence_to_matrix(vbar, basis) - rho_st))
     return float(np.mean(eps))
 
-
-@dataclass
-class ErrorReport:
-    """Bundle of the fidelity measures for one evaluated model."""
-    i_err_interp: float
-    i_err_extrap: float
-    fvu_interp: float
-    fvu_extrap: float
-    epsilon_stationary: float
-    interp_window: tuple = (0.0, 0.0)
-    extrap_window: tuple = (0.0, 0.0)
-    a: float = 5.0
-    b: float = 10.0
-    tau: float = None
-    n_initial_conditions: int = 0
-    epsilon_status: str = "ok"

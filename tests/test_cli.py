@@ -5,6 +5,7 @@ import math
 import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import pytest
 import lindfit.cli as cli
 from lindfit.cli import (
     ConfigError,
+    _evaluate,
     _write_observables,
-    _write_report_csv,
     _write_timeseries,
     cmd_eval,
     cmd_gen_data,
@@ -39,7 +40,6 @@ from lindfit.many_body_sim import (
     load_trajectory,
     save_trajectory,
 )
-from lindfit.metrics import ErrorReport
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 TINY = {
@@ -254,11 +254,11 @@ def _synthetic_eval_setup(tmp_path, n_eval_steps):
 def test_eval_on_own_dynamics_is_exact(tmp_path):
     cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     report = cmd_eval(cfg, model_path, mpath, out)
-    assert report.i_err_interp < 1e-12
-    assert report.i_err_extrap < 1e-12
-    assert report.fvu_interp < 1e-10
-    assert report.epsilon_status == "ok"
-    assert math.isfinite(report.epsilon_stationary)
+    assert report["i_err_interp"] < 1e-12
+    assert report["i_err_extrap"] < 1e-12
+    assert report["fvu_interp"] < 1e-10
+    assert report["epsilon_status"] == "ok"
+    assert math.isfinite(report["epsilon_stationary"])
     ts = os.path.join(out, "reports", "timeseries_eval_000.csv")
     header = Path(ts).read_text().splitlines()[0].split(",")
     assert header[0] == "t_over_omega_inv"
@@ -332,21 +332,13 @@ def _csv_cell_reference(v):
     return str(v)
 
 
-def _write_report_csv_cell_reference(path, report):
+def _write_report_csv_cell_reference(path, vals):
     """Reference writer: one formatting call per cell."""
     head = ["i_err_interp", "i_err_extrap", "fvu_interp", "fvu_extrap",
             "epsilon_stationary", "epsilon_status",
             "interp_start_over_omega_inv", "interp_end_over_omega_inv",
             "extrap_start_over_omega_inv", "extrap_end_over_omega_inv",
             "a", "b", "tau_over_omega_inv", "n_initial_conditions"]
-    vals = [report.i_err_interp, report.i_err_extrap, report.fvu_interp,
-            report.fvu_extrap, report.epsilon_stationary,
-            report.epsilon_status,
-            report.interp_window[0], report.interp_window[1],
-            report.extrap_window[0], report.extrap_window[1],
-            report.a, report.b,
-            "" if report.tau is None else report.tau,
-            report.n_initial_conditions]
     with open(path, "w") as fh:
         fh.write(",".join(head) + "\n")
         fh.write(",".join(_csv_cell_reference(v) for v in vals) + "\n")
@@ -363,18 +355,32 @@ def _write_scan_csv_cell_reference(path, rows):
 
 @pytest.mark.parametrize("tau,status", [(None, "no_gap"), (7.25, "ok"),
                                         (np.float64(1 / 3), "window_budget_exceeded")])
-def test_eval_report_csv_matches_cell_reference(tmp_path, tau, status):
-    # config numbers arrive as JSON ints or floats; both must print the same
-    report = ErrorReport(
-        i_err_interp=0.1234567890123456789, i_err_extrap=math.nan,
-        fvu_interp=5e-324, fvu_extrap=-0.0,
-        epsilon_stationary=math.nan if status != "ok" else 1.5e300,
-        interp_window=(0.0, 5), extrap_window=(5, 10.0), a=5, b=10.0,
-        tau=tau, n_initial_conditions=2, epsilon_status=status)
-    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
-    _write_report_csv(new, report)
-    _write_report_csv_cell_reference(ref, report)
+def test_eval_report_csv_matches_cell_reference(tmp_path, monkeypatch, tau, status):
+    # _evaluate builds and writes the row; its scores are stubbed to the
+    # values under test (the status strings are only data here), and config
+    # numbers arrive as JSON ints or floats, which must print the same
+    eps = {"no_gap": math.nan, "ok": 1.5e300}.get(status, -0.0)
+    snaps = np.zeros((11, 16))
+    snaps[:, 0] = np.arange(11)  # a window's first row tells where it starts
+    exact = Trajectory(model=None, dt=1.0, snapshots=snaps)
+    monkeypatch.setattr(cli, "propagate_trajectory", lambda L, v0, dt, n: snaps)
+    monkeypatch.setattr(cli, "i_err", lambda e, p, t0, t1:
+                        0.1234567890123456789 if t0 == 0 else math.nan)
+    monkeypatch.setattr(cli, "fvu", lambda e, p:
+                        5e-324 if e.snapshots[0, 0] == 0 else 2 / 3)
+    monkeypatch.setattr(cli, "_epsilon_pipeline", lambda cfg, L:
+                        (eps, status, SimpleNamespace(tau=tau), None))
+    cfg = cli.ExperimentConfig(
+        model=None,
+        simulation=cli.SimulationBlock(dt=1.0, T_train=5, T_extrapolate=10.0),
+        metrics=cli.MetricsBlock(a=5, b=10, n_initial_conditions=2))
+    row = _evaluate(cfg, None, [exact], {"report": str(tmp_path)})
+    new, ref = tmp_path / "eval_report.csv", tmp_path / "ref.csv"
+    _write_report_csv_cell_reference(
+        ref, [0.1234567890123456789, math.nan, 5e-324, 2 / 3, eps, status,
+              0.0, 5, 5, 10.0, 5, 10, "" if tau is None else tau, 2])
     assert new.read_bytes() == ref.read_bytes()
+    assert list(row) == new.read_text().splitlines()[0].split(",")
 
 
 def test_scan_csv_matches_reference_and_threads(tmp_path, monkeypatch):
@@ -447,9 +453,9 @@ def test_eval_flags_missing_extrapolation(tmp_path):
     # files stop at T_train, so the extrapolation window cannot be scored
     cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
     report = cmd_eval(cfg, model_path, mpath, out)
-    assert math.isnan(report.i_err_extrap)
-    assert math.isnan(report.fvu_extrap)
-    assert report.i_err_interp < 1e-12
+    assert math.isnan(report["i_err_extrap"])
+    assert math.isnan(report["fvu_extrap"])
+    assert report["i_err_interp"] < 1e-12
 
 
 def test_eval_rejects_dt_mismatch(tmp_path):
@@ -676,6 +682,94 @@ def test_main_refuses_stationary_window_under_two_snapshots(tmp_path, capsys,
     assert err["error"] == "ValueError"
     assert "stationary window" in err["message"] and "dt=" in err["message"]
     assert not os.path.exists(os.path.join(out, "reports", "stationary_report.json"))
+
+
+def test_main_refused_eval_writes_no_report_files(tmp_path, capsys):
+    # the stationary window is refused after the trajectories are scored;
+    # no time series may be left without its report
+    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg_path = _write_config(tmp_path, {"metrics": {"max_window_steps": 1}},
+                             name="budget.json")
+    rc = main(["--config", cfg_path, "--out", out, "eval", "--model", model_path,
+               "--manifest", mpath])
+    captured = capsys.readouterr()
+    assert rc == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "stationary window" in json.loads(lines[0])["message"]
+    reports = Path(out, "reports")
+    assert not list(reports.glob("timeseries_eval_*.csv"))
+    assert not (reports / "eval_report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])
+def test_main_refuses_model_of_wrong_dimension(tmp_path, capsys, command):
+    # a well-formed one-spin model file, but every command works on the
+    # two-spin subsystem: refused before any work, naming the file and d
+    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    one_spin = GeneratorParams(omega=np.full(3, 0.2), X=0.3 * np.eye(3),
+                               Y=np.zeros((3, 3)))
+    save_model(model_path, one_spin, build_pauli_basis(1), TINY["simulation"]["dt"])
+    args = ["--config", _write_config(tmp_path), "--out", out, command,
+            "--model", model_path]
+    rc = main(args + (["--manifest", mpath] if command == "eval" else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert model_path in err["message"] and "d=2" in err["message"]
+    assert not os.path.exists(os.path.join(out, "reports"))
+
+
+def _window_budget_config(tmp_path):
+    return load_config(_write_config(tmp_path, {
+        "simulation": {"dt": 0.001},
+        "metrics": {"a": 2, "b": 4, "max_window_steps": 3,
+                    "n_initial_conditions": 1}}))
+
+
+def _stub_stationary_state(monkeypatch, tau):
+    v_st = rho_to_coherence(np.eye(4) / 4, build_pauli_basis(2))
+    monkeypatch.setattr(cli, "stationary_state", lambda L: SimpleNamespace(
+        no_gap=False, non_unique=False, v_st=v_st, tau=tau))
+
+
+@pytest.mark.parametrize("tau", [0.018, np.nextafter(0.018, 1.0)])
+def test_window_budget_is_not_exceeded_by_rounding(tmp_path, monkeypatch, tau):
+    # b*tau/dt = 72 steps at a budget of 3: stride 24, 3 steps, whichever
+    # way the last bit of tau falls
+    cfg = _window_budget_config(tmp_path)
+    _stub_stationary_state(monkeypatch, tau)
+    eps, status, _, trajs = cli._epsilon_pipeline(cfg, None)
+    assert status == "ok" and math.isfinite(eps)
+    assert [(t.dt, t.n_steps) for t in trajs] == [(0.001 * 24, 3)]
+
+
+def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
+    # tau at and one or two ulps around every b*tau/dt that is a multiple
+    # of the budget, where the stride and step count round
+    cfg = _window_budget_config(tmp_path)
+    met, dt = cfg.metrics, cfg.simulation.dt
+    windows = []
+    monkeypatch.setattr(cli, "generate_trajectory",
+                        lambda model, dt_eps, n_steps, seed, max_sites:
+                        windows.append((dt_eps, n_steps)))
+    monkeypatch.setattr(cli, "stationary_error", lambda *args: 0.0)
+    for k in range(1, 40):
+        tau0 = k * met.max_window_steps * dt / met.b
+        for tau in (tau0, np.nextafter(tau0, 0.0), np.nextafter(tau0, 1.0),
+                    np.nextafter(np.nextafter(tau0, 1.0), 1.0)):
+            _stub_stationary_state(monkeypatch, tau)
+            windows.clear()
+            status = cli._epsilon_pipeline(cfg, None)[1]
+            assert status == "ok", tau
+            (dt_eps, n_steps), = windows
+            assert n_steps <= met.max_window_steps, tau
+            # the coverage stationary_error requires of a trajectory
+            assert dt_eps * n_steps >= met.b * tau - 1e-9 * tau, tau
 
 
 @pytest.mark.parametrize("overrides", [

@@ -12,8 +12,7 @@ from lindfit.lindblad_generator import (
     stationary_state,
 )
 from lindfit.many_body_sim import Trajectory
-from lindfit.metrics import (ErrorReport, fvu, i_err, stationary_error, time_window,
-                             trace_norm)
+from lindfit.metrics import fvu, i_err, stationary_error, time_window, trace_norm
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 
@@ -237,9 +236,3 @@ def test_stationary_error_relaxing_qubit():
     eps = stationary_error(trajs, info.v_st, info.tau)
     assert 1e-6 < eps < 1e-3
 
-
-def test_error_report_defaults():
-    rep = ErrorReport(i_err_interp=0.1, i_err_extrap=0.2, fvu_interp=0.3,
-                      fvu_extrap=0.4, epsilon_stationary=0.5)
-    assert rep.epsilon_status == "ok"
-    assert rep.tau is None
