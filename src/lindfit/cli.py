@@ -35,8 +35,10 @@ from .lindblad_generator import (assemble_generator, propagate_trajectory,
 from .trainer import TrainConfig, build_dataset, train, save_loss_curves
 from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
-                            DEFAULT_MAX_SITES, restricted_hamiltonian)
-from .metrics import i_err, fvu, stationary_error, time_window
+                            DEFAULT_MAX_SITES, restricted_hamiltonian,
+                            window_means)
+from .metrics import (i_err, fvu, stationary_distance, stationary_window,
+                      time_window)
 from .files import write_csv, write_json
 
 
@@ -68,8 +70,9 @@ class MetricsBlock:
     a: float = 5.0
     b: float = 10.0
     n_initial_conditions: int = 10
-    # a stationary window longer than this many steps of dt is sampled
-    # every `stride` steps, so no window trajectory takes more steps
+    # a stationary window longer than this many steps of dt is averaged
+    # on a grid of every `stride` steps, so the grid, and the trajectory
+    # `stationary` prints on it, takes no more steps
     max_window_steps: int = 2_000_000
 
 
@@ -317,39 +320,53 @@ def _dataset(cell):
 def _save_fit(cell, result):
     cfg, dirs = cell[:2]
     model_path = os.path.join(dirs["model"], "model.json")
+    val = result.val_history[-1]
     save_model(model_path, result.params, build_pauli_basis(2), cfg.simulation.dt,
                extra={"final_train_loss": result.train_history[-1],
-                      "final_val_loss": result.val_history[-1]})
+                      # nan without a validation set; JSON holds no nan
+                      "final_val_loss": None if math.isnan(val) else val})
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
                      result.train_history, result.val_history)
     return model_path, result.params
 
 
+def _window_grid(cfg, tau):
+    """(dt_eps, n_steps): the grid the stationary window is averaged on.
+
+    It reaches b*tau in steps of dt_eps = stride * dt, the smallest stride
+    that keeps it within metrics.max_window_steps steps; both counts are
+    whole divisions of ceil(b*tau/dt), so the grid fits and covers.
+    """
+    met, dt = cfg.metrics, cfg.simulation.dt
+    fine_steps = math.ceil(met.b * tau / dt)
+    stride = max(1, -(-fine_steps // met.max_window_steps))
+    return dt * stride, -(-fine_steps // stride)
+
+
+def _stationary_seed(cfg, k):
+    return derive_seed(cfg.simulation.seed, "stationary", k)
+
+
 def _epsilon_pipeline(cfg, L):
     """Stationary-state distance for the config's exact dynamics.
 
-    Returns (epsilon, status, info, trajectories or None).  The window
-    trajectories reach b*tau in steps of `stride` dt, the smallest stride
-    that keeps them within metrics.max_window_steps steps; both counts are
-    whole divisions of ceil(b*tau/dt), so the window fits and covers.
+    Returns (epsilon, status, info, grid), grid being _window_grid's
+    (dt_eps, n_steps), or None where epsilon is undefined.  Each initial
+    condition's window mean is taken in closed form on that grid
+    (many_body_sim.window_means), so no window trajectory is simulated.
     """
     info = stationary_state(L)
     if info.no_gap:
         return math.nan, "no_gap", info, None
     if info.non_unique or info.v_st is None:
         return math.nan, "non_unique", info, None
-    met, sim = cfg.metrics, cfg.simulation
-    fine_steps = math.ceil(met.b * info.tau / sim.dt)
-    stride = max(1, -(-fine_steps // met.max_window_steps))
-    dt_eps = sim.dt * stride
-    n_steps = -(-fine_steps // stride)
-    trajs = []
-    for k in range(met.n_initial_conditions):
-        seed = derive_seed(sim.seed, "stationary", k)
-        trajs.append(generate_trajectory(cfg.model, dt_eps, n_steps, seed,
-                                         max_sites=sim.max_sites))
-    eps = stationary_error(trajs, info.v_st, info.tau, met.a, met.b)
-    return eps, "ok", info, trajs
+    met = cfg.metrics
+    grid = _window_grid(cfg, info.tau)
+    k_lo, k_hi = stationary_window(*grid, info.tau, met.a, met.b)
+    seeds = [_stationary_seed(cfg, k) for k in range(met.n_initial_conditions)]
+    means = window_means(cfg.model, grid[0], k_lo, k_hi, seeds,
+                         max_sites=cfg.simulation.max_sites)
+    return stationary_distance(means, info.v_st), "ok", info, grid
 
 
 def cmd_eval(cfg, model_path, manifest_path, out):
@@ -535,11 +552,18 @@ def cmd_scan(cfg, out, threads=1):
 
 
 def cmd_stationary(cfg, model_path, out):
-    """Stationary-state report plus long-time observable series."""
+    """Stationary-state report plus long-time observable series.
+
+    The series follows the first initial condition's exact trajectory on
+    the window grid, the one trajectory this command simulates.
+    """
     params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
     L = assemble_generator(params, basis)
-    eps, status, info, trajs = _epsilon_pipeline(cfg, L)
+    eps, status, info, grid = _epsilon_pipeline(cfg, L)
+    exact = None if grid is None else generate_trajectory(
+        cfg.model, *grid, _stationary_seed(cfg, 0),
+        max_sites=cfg.simulation.max_sites)
     report = {
         "e_gap": info.e_gap,
         "tau_over_omega_inv": info.tau,
@@ -559,10 +583,10 @@ def cmd_stationary(cfg, model_path, out):
         report["rho_st_im"] = rho_st.imag.tolist()
     rpath = os.path.join(dirs["report"], "stationary_report.json")
     write_json(rpath, report, indent=2)
-    if trajs:
+    if exact is not None:
         _write_observables(os.path.join(dirs["report"],
                                         "stationary_observables.csv"),
-                           trajs[0], L, info)
+                           exact, L, info)
     return rpath
 
 
@@ -644,7 +668,9 @@ def _build_parser():
     ap.add_argument("--seed", type=int, default=None,
                     help="override simulation.seed")
     ap.add_argument("--out", default=".", help="output root directory")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="worker processes for gen-data and scan "
+                         "(default 1)")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-data")
     p = sub.add_parser("train")

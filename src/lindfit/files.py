@@ -45,7 +45,8 @@ def write_csv(path, cols, rows, head=()):
 
 def write_json(path, obj, indent=None):
     """`obj` as JSON with sorted keys and a final newline; `indent` as
-    json.dump takes it."""
+    json.dump takes it.  A nan or infinite number, which JSON cannot hold,
+    is refused with ValueError, and `path` keeps what it held."""
     with replacing(path) as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
+        json.dump(obj, fh, indent=indent, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -206,33 +206,23 @@ def _chain_eigensystem(model):
     return hit
 
 
-def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
-                      max_sites=DEFAULT_MAX_SITES):
-    """Evolve rho_s0 (x) rho_B under the chain Hamiltonian; return the
-    subsystem Trajectory with n_steps+1 snapshots including t=0.
-
-    The propagation is exact.  With H = U diag(w) U^T diagonalized once and
-    U split into the four subsystem row blocks R_a (m/4 x m, real), the
-    initial state in the eigenbasis is rt0 = sum_ab rho_s0[a,b] R_a^T rho_B
-    R_b, built from real matrix products.  Block (a, b) of the reduced state
-    at time t = k dt is
-
-        rho_ab(t) = sum_pq P[k,p] ((R_a^T R_b) o rt0)[p,q] conj(P[k,q]),
-
-    with phases P[k,p] = exp(-i w_p t).  Only the ten blocks with a <= b are
-    computed, each as one real product R_a^T R_b and one complex product
-    with a chunk of phase rows; the blocks with b < a are their Hermitian
-    mirror.  Memory is O(m^2 + chunk * m) for m = 2^N: one m x m block at
-    a time, never the full (4, 4, m, m) tensor.
-    """
+def _check_capacity(model, max_sites):
     if model.n_sites > max_sites:
         raise CapacityError(
             f"n_sites={model.n_sites} exceeds the configured maximum "
             f"{max_sites}; a 2^{model.n_sites} dense eigenproblem was refused")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+
+
+def _initial_state(model, rho_s0, max_sites):
+    """The chain's cached eigensystem (w, R) and rt0, the state
+    rho_s0 (x) rho_B in its eigenbasis; refuses chains above max_sites and
+    a rho_s0 that is not a Hermitian 4x4 matrix.
+
+    With H = U diag(w) U^T and U split into the four subsystem row blocks
+    R_a (m/4 x m, real), rt0 = sum_ab rho_s0[a,b] R_a^T rho_B R_b, built
+    from real matrix products.
+    """
+    _check_capacity(model, max_sites)
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     if rho_s0.shape != (4, 4):
         raise ValueError(f"rho_s0 must be 4x4, got {rho_s0.shape}")
@@ -247,7 +237,32 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
     rt0 = np.empty((m, m), dtype=complex)
     rt0.real = U.T @ (rho_s0.real @ Q).reshape(m, m)
     rt0.imag = U.T @ (rho_s0.imag @ Q).reshape(m, m)
-    del Q
+    return w, R, rt0
+
+
+def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
+                      max_sites=DEFAULT_MAX_SITES):
+    """Evolve rho_s0 (x) rho_B under the chain Hamiltonian; return the
+    subsystem Trajectory with n_steps+1 snapshots including t=0.
+
+    The propagation is exact.  With the initial state rt0 in the
+    eigenbasis of H = U diag(w) U^T (see _initial_state), block (a, b) of
+    the reduced state at time t = k dt is
+
+        rho_ab(t) = sum_pq P[k,p] ((R_a^T R_b) o rt0)[p,q] conj(P[k,q]),
+
+    with phases P[k,p] = exp(-i w_p t).  Only the ten blocks with a <= b are
+    computed, each as one real product R_a^T R_b and one complex product
+    with a chunk of phase rows; the blocks with b < a are their Hermitian
+    mirror.  Memory is O(m^2 + chunk * m) for m = 2^N: one m x m block at
+    a time, never the full (4, 4, m, m) tensor.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    w, R, rt0 = _initial_state(model, rho_s0, max_sites)
+    m = w.size
 
     n_snap = n_steps + 1
     out = np.empty((n_snap, 4, 4), dtype=complex)
@@ -273,13 +288,68 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
     return Trajectory(model=model, dt=dt, snapshots=v, seed=seed)
 
 
+def _seeded_initial_state(seed):
+    return random_initial_subsystem_state(np.random.default_rng(seed))
+
+
 def generate_trajectory(model, dt, n_steps, seed,
                         max_sites=DEFAULT_MAX_SITES):
     """Random-initial-state trajectory with a deterministic seed."""
-    rng = np.random.default_rng(seed)
-    rho_s0 = random_initial_subsystem_state(rng)
-    return evolve_and_reduce(model, rho_s0, dt, n_steps, seed=seed,
-                             max_sites=max_sites)
+    return evolve_and_reduce(model, _seeded_initial_state(seed), dt, n_steps,
+                             seed=seed, max_sites=max_sites)
+
+
+def _trapezoid_kernel(w, dt, k_lo, k_hi):
+    """K[p,q], the trapezoid mean over k = k_lo..k_hi of exp(-i W k dt)
+    for W = w_p - w_q.
+
+    With theta = W dt, the sum of exp(-i theta k) less half its two end
+    terms, over n = k_hi - k_lo steps, is
+
+        exp(-i theta (k_lo + n/2)) sin(n theta/2) / tan(theta/2),
+
+    and K is that over n.  theta is first reduced to [-pi, pi], which
+    leaves every term as it is, so K is 1 where theta is a multiple of 2 pi
+    and smooth around it.
+    """
+    n = k_hi - k_lo
+    half = np.subtract.outer(w, w) * (dt / 2)  # theta / 2
+    half -= np.pi * np.round(half / np.pi)
+    tan = np.tan(half)
+    K = np.divide(np.sin(n * half), n * tan, out=np.ones_like(half),
+                  where=tan != 0)
+    return K * np.exp(-1j * (2 * k_lo + n) * half)
+
+
+def window_means(model, dt, k_lo, k_hi, seeds, max_sites=DEFAULT_MAX_SITES):
+    """Trapezoid mean over steps k_lo..k_hi of each trajectory
+    generate_trajectory(model, dt, k_hi, seed) would give, in closed form:
+    one coherence vector per seed, without a snapshot simulated.
+
+    Each snapshot is linear in the phases exp(-i (w_p - w_q) k dt), so the
+    mean of block (a, b) of the reduced state is
+
+        sum_pq (R_a^T R_b)[p,q] (rt0 o K)[p,q] = tr(R_a G R_b^T),
+
+    with G = rt0 o K for the trapezoid kernel K (_trapezoid_kernel).  All
+    sixteen blocks come from the one product R G, so an initial condition
+    costs O(m^3) at any window length.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if not 0 <= k_lo < k_hi:
+        raise ValueError(f"need 0 <= k_lo < k_hi, got {k_lo}, {k_hi}")
+    _check_capacity(model, max_sites)
+    w, R, _ = _chain_eigensystem(model)
+    K = _trapezoid_kernel(w, dt, k_lo, k_hi)
+    U, Rt = R.reshape(w.size, w.size), R.reshape(4, -1).T
+    out = np.empty((len(seeds), 4, 4), dtype=complex)
+    for i, seed in enumerate(seeds):
+        _, _, G = _initial_state(model, _seeded_initial_state(seed), max_sites)
+        G *= K
+        out[i].real = (U @ G.real).reshape(4, -1) @ Rt
+        out[i].imag = (U @ G.imag).reshape(4, -1) @ Rt
+    return rho_to_coherence(out, build_pauli_basis(2))
 
 
 def save_trajectory(path, traj):

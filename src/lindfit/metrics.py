@@ -4,6 +4,12 @@ All time integrals use the trapezoidal rule on the native snapshot grid.
 Trajectories enter as objects with .dt and .snapshots (rows of coherence
 vectors); time_window and stationary_error take many_body_sim.Trajectory
 objects.  The operator basis is inferred from the snapshot width.
+
+The stationary error scores window means: stationary_error takes them by
+the trapezoid rule from simulated trajectories, and
+many_body_sim.window_means gives the same trapezoid means in closed form
+on the grid and steps stationary_window selects; stationary_distance
+scores either.
 """
 
 import math
@@ -82,34 +88,59 @@ def fvu(exact, predicted):
     return float(np.sqrt(var_d[keep] / var_e[keep]).mean())
 
 
+def stationary_window(dt, n_steps, tau, a, b):
+    """Steps (k_lo, k_hi) of the grid t = k dt, k = 0..n_steps, that the
+    stationary window [a*tau, b*tau] averages over: the first and last
+    grid times inside it, each end widened by 1e-9 tau for rounding.
+
+    A grid that ends before b*tau, or a window holding fewer than two grid
+    times, is refused.
+    """
+    if b <= a or a < 0:
+        raise ValueError("need 0 <= a < b")
+    if dt * n_steps < b * tau - 1e-9 * tau:
+        raise ValueError(f"trajectory covers only t={dt * n_steps:.6g}, "
+                         f"needs b*tau={b * tau:.6g}")
+    t_lo, t_hi = a * tau - 1e-9 * tau, b * tau + 1e-9 * tau
+    # start a step outside each end, past any rounding of the division, and
+    # step in while the grid time dt * k itself lies outside
+    k_lo = max(0, math.ceil(t_lo / dt) - 1)
+    while dt * k_lo < t_lo:
+        k_lo += 1
+    k_hi = min(n_steps, math.floor(t_hi / dt) + 1)
+    while dt * k_hi > t_hi:
+        k_hi -= 1
+    if k_hi - k_lo < 1:
+        raise ValueError(f"stationary window [{a * tau:.6g}, {b * tau:.6g}] "
+                         f"holds {max(0, k_hi - k_lo + 1)} snapshots at "
+                         f"dt={dt:.6g}; a time average needs at least 2")
+    return k_lo, k_hi
+
+
+def stationary_distance(window_means, v_st):
+    """Mean trace-norm distance between window-mean coherence vectors
+    (one per row) and the stationary state v_st."""
+    v = np.asarray(window_means, dtype=float)
+    basis = _basis_of(v)
+    rho_st = coherence_to_matrix(np.asarray(v_st, dtype=float), basis)
+    return float(np.mean(trace_norm(coherence_to_matrix(v, basis) - rho_st)))
+
+
 def stationary_error(exact_trajectories, v_st, tau, a=5.0, b=10.0):
     """Mean trace-norm distance between the [a*tau, b*tau] time average of
     each exact trajectory and the stationary state v_st.
 
-    tau=None (no spectral gap) yields nan: the window is undefined.  A
-    window holding fewer than two snapshots of a trajectory is refused.
+    The window is cut by stationary_window and each trajectory's mean
+    taken by the trapezoid rule over it; many_body_sim.window_means gives
+    the same means in closed form.  tau=None (no spectral gap) yields nan:
+    the window is undefined.
     """
     if tau is None:
         return math.nan
-    if b <= a or a < 0:
-        raise ValueError("need 0 <= a < b")
-    eps = []
+    means = []
     for traj in exact_trajectories:
-        v = traj.snapshots
-        t_end = traj.dt * traj.n_steps
-        if t_end < b * tau - 1e-9 * tau:
-            raise ValueError(f"trajectory covers only t={t_end:.6g}, "
-                             f"needs b*tau={b * tau:.6g}")
-        basis = _basis_of(v)
-        rho_st = coherence_to_matrix(np.asarray(v_st, dtype=float), basis)
-        t = traj.times()
-        mask = (t >= a * tau - 1e-9 * tau) & (t <= b * tau + 1e-9 * tau)
-        tw = t[mask]
-        if tw.size < 2:
-            raise ValueError(f"stationary window [{a * tau:.6g}, {b * tau:.6g}] "
-                             f"holds {tw.size} snapshots at dt={traj.dt:.6g}; "
-                             "a time average needs at least 2")
-        vbar = _trapezoid(v[mask], tw, axis=0) / (tw[-1] - tw[0])
-        eps.append(trace_norm(coherence_to_matrix(vbar, basis) - rho_st))
-    return float(np.mean(eps))
-
+        k_lo, k_hi = stationary_window(traj.dt, traj.n_steps, tau, a, b)
+        t = traj.times()[k_lo:k_hi + 1]
+        means.append(_trapezoid(traj.snapshots[k_lo:k_hi + 1], t, axis=0)
+                     / (t[-1] - t[0]))
+    return stationary_distance(means, v_st)

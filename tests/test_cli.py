@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lindfit.cli as cli
+import lindfit.many_body_sim as mbs
 from lindfit.cli import (
     ConfigError,
     _evaluate,
@@ -37,9 +38,11 @@ from lindfit.lindblad_generator import (
 from lindfit.many_body_sim import (
     SpinChainModel,
     Trajectory,
+    generate_trajectory,
     load_trajectory,
     save_trajectory,
 )
+from lindfit.metrics import stationary_error
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 TINY = {
@@ -543,6 +546,78 @@ def test_stationary_report_no_gap(tmp_path):
                                            "stationary_observables.csv"))
 
 
+def test_eval_simulates_no_window_and_stationary_one(tmp_path, monkeypatch):
+    # eval takes every window mean in closed form; stationary simulates
+    # only the trajectory stationary_observables.csv prints
+    cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module, name in ((cli, "generate_trajectory"),
+                         (mbs, "generate_trajectory"),
+                         (mbs, "evolve_and_reduce")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    assert cfg.metrics.n_initial_conditions == 2
+    cmd_eval(cfg, model_path, mpath, out)
+    assert calls == []
+    cmd_stationary(cfg, model_path, out)
+    assert calls == ["generate_trajectory", "evolve_and_reduce"]
+
+
+@pytest.mark.parametrize("model", [
+    {"variant": "I", "n_sites": 5, "omega": 1.0, "V": 0.8, "V_prime": 0.4,
+     "beta": 0.7},
+    {"variant": "II", "n_sites": 6, "omega": 1.0, "V": 0.9, "V_prime": 0.0,
+     "alpha": 1.3, "beta": 0.4},
+], ids=["I", "II"])
+def test_epsilon_matches_simulated_window_trapezoid(tmp_path, model):
+    # the closed-form window means score as the simulated window
+    # trajectories do, on the same strided grid
+    cfg = load_config(_write_config(tmp_path, {
+        "model": model,
+        "metrics": {"max_window_steps": 40, "n_initial_conditions": 3}}))
+    L = assemble_generator(_stable_two_spin_params(), build_pauli_basis(2))
+    eps, status, info, grid = cli._epsilon_pipeline(cfg, L)
+    assert status == "ok"
+    assert round(grid[0] / cfg.simulation.dt) > 1  # a stride above one
+    trajs = [generate_trajectory(cfg.model, *grid,
+                                 derive_seed(cfg.simulation.seed, "stationary", k))
+             for k in range(3)]
+    ref = stationary_error(trajs, info.v_st, info.tau, cfg.metrics.a,
+                           cfg.metrics.b)
+    assert eps == pytest.approx(ref, rel=1e-12)
+
+
+def test_pipeline_without_validation_set_writes_strict_json(tmp_path):
+    # one training trajectory leaves no validation set and its loss nan:
+    # model.json holds null there, every JSON file the pipeline writes
+    # parses without nan or infinities, and the later commands read it
+    cfg_path = _write_config(tmp_path, {"simulation": {"n_trajectories": 1}})
+    out = str(tmp_path / "run")
+    for command in ("gen-data", "train", "eval", "stationary", "interpret"):
+        assert main(["--config", cfg_path, "--out", out, command]) == 0, command
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    paths = sorted(Path(out).rglob("*.json"))
+    assert sorted(p.name for p in paths) == [
+        "interpret_report.json", "manifest.json", "model.json",
+        "stationary_report.json"]
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=refuse)
+    extra = json.loads(Path(out, "models", "model.json").read_text())["extra"]
+    assert extra["final_val_loss"] is None
+    assert math.isfinite(extra["final_train_loss"])
+    curves = Path(out, "reports", "loss_curves.csv").read_text().splitlines()
+    assert all(line.endswith(",nan") for line in curves[1:])
+
+
 def _kron_two_spin_hamiltonian(model):
     """The subsystem pair's fields and bond written out with kron, traceless."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -743,9 +818,9 @@ def test_window_budget_is_not_exceeded_by_rounding(tmp_path, monkeypatch, tau):
     # way the last bit of tau falls
     cfg = _window_budget_config(tmp_path)
     _stub_stationary_state(monkeypatch, tau)
-    eps, status, _, trajs = cli._epsilon_pipeline(cfg, None)
+    eps, status, _, grid = cli._epsilon_pipeline(cfg, None)
     assert status == "ok" and math.isfinite(eps)
-    assert [(t.dt, t.n_steps) for t in trajs] == [(0.001 * 24, 3)]
+    assert grid == (0.001 * 24, 3)
 
 
 def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
@@ -754,22 +829,32 @@ def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
     cfg = _window_budget_config(tmp_path)
     met, dt = cfg.metrics, cfg.simulation.dt
     windows = []
-    monkeypatch.setattr(cli, "generate_trajectory",
-                        lambda model, dt_eps, n_steps, seed, max_sites:
-                        windows.append((dt_eps, n_steps)))
-    monkeypatch.setattr(cli, "stationary_error", lambda *args: 0.0)
+    monkeypatch.setattr(cli, "window_means",
+                        lambda model, dt_eps, k_lo, k_hi, seeds, max_sites:
+                        windows.append((dt_eps, k_lo, k_hi)))
+    monkeypatch.setattr(cli, "stationary_distance", lambda *args: 0.0)
     for k in range(1, 40):
         tau0 = k * met.max_window_steps * dt / met.b
         for tau in (tau0, np.nextafter(tau0, 0.0), np.nextafter(tau0, 1.0),
                     np.nextafter(np.nextafter(tau0, 1.0), 1.0)):
             _stub_stationary_state(monkeypatch, tau)
-            windows.clear()
-            status = cli._epsilon_pipeline(cfg, None)[1]
-            assert status == "ok", tau
-            (dt_eps, n_steps), = windows
+            dt_eps, n_steps = cli._window_grid(cfg, tau)
             assert n_steps <= met.max_window_steps, tau
-            # the coverage stationary_error requires of a trajectory
+            # a whole stride of dt, covering b*tau as stationary_window
+            # requires of the grid
+            assert dt_eps == dt * round(dt_eps / dt), tau
             assert dt_eps * n_steps >= met.b * tau - 1e-9 * tau, tau
+            windows.clear()
+            try:
+                _, status, _, grid = cli._epsilon_pipeline(cfg, None)
+            except ValueError as exc:
+                # refused for the window's snapshot count, not for coverage
+                assert "stationary window" in str(exc), tau
+                continue
+            assert status == "ok" and grid == (dt_eps, n_steps), tau
+            # the closed form averages on the grid stationary prints
+            (mean_dt, k_lo, k_hi), = windows
+            assert mean_dt == dt_eps and 0 <= k_lo < k_hi <= n_steps, tau
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,5 +1,6 @@
 """Every output writer replaces its file whole or leaves it as it was."""
 
+import math
 import os
 
 import numpy as np
@@ -89,3 +90,15 @@ def test_temporary_name_matches_no_output_pattern(tmp_path, monkeypatch):
     assert len(seen) == 2
     assert not any(n.endswith((".csv", ".json")) for n in seen)
     assert sorted(os.listdir(tmp_path)) == ["manifest.json", "train_000.csv"]
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    # JSON has no nan or infinity; a strict parser would refuse the file
+    path = tmp_path / "out.json"
+    files.write_json(path, {"x": 1.0})
+    before = path.read_bytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            files.write_json(path, {"x": [0.0, bad]})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.json"]

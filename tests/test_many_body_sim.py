@@ -362,6 +362,49 @@ def test_shorter_trajectory_is_a_prefix_bit_for_bit(model, chunk_rows, monkeypat
         np.testing.assert_array_equal(short.snapshots, long.snapshots[:101])
 
 
+@pytest.mark.parametrize("model,dt,k_lo,k_hi", [
+    pytest.param(SpinChainModel("I", 6, 1.0, 0.7, V_prime=0.3, beta=0.4),
+                 0.07, 30, 91, id="I"),
+    pytest.param(SpinChainModel("II", 6, 1.0, 0.8, alpha=1.2, beta=0.5),
+                 0.13, 10, 55, id="II"),
+    # free spins: every w_p - w_q is a whole number, so every phase step
+    # dt (w_p - w_q) is a multiple of 2 pi
+    pytest.param(SpinChainModel("I", 5, 1.0, 0.0, beta=0.4),
+                 2 * np.pi, 3, 9, id="I-free-all-2pi"),
+    pytest.param(SpinChainModel("II", 6, 1.0, 0.0, beta=0.6),
+                 2 * np.pi, 4, 13, id="II-free-all-2pi"),
+    # a decoupled pair: the differences within one bath level are whole
+    # numbers, the others are not
+    pytest.param(SpinChainModel("I", 6, 1.0, 0.7, V_prime=0.0, beta=0.4),
+                 2 * np.pi, 2, 12, id="I-decoupled-some-2pi"),
+])
+def test_window_means_match_simulated_trapezoid(model, dt, k_lo, k_hi):
+    seeds = (3, 4)
+    means = mbs.window_means(model, dt, k_lo, k_hi, seeds)
+    assert means.shape == (2, 16)
+    for mean, seed in zip(means, seeds):
+        traj = generate_trajectory(model, dt, k_hi, seed)
+        t, v = traj.times()[k_lo:k_hi + 1], traj.snapshots[k_lo:k_hi + 1]
+        steps = np.diff(t)[:, None] * (v[1:] + v[:-1]) / 2
+        ref = steps.sum(axis=0) / (t[-1] - t[0])
+        assert np.abs(mean - ref).max() < 1e-12
+    if dt == 2 * np.pi:
+        # the windows meant to hit a multiple of 2 pi do
+        w = mbs._chain_eigensystem(model)[0]
+        theta = np.subtract.outer(w, w) * dt
+        off = np.abs(theta - 2 * np.pi * np.round(theta / (2 * np.pi)))
+        assert ((off < 1e-9) & (np.abs(theta) > 1.0)).any()
+
+
+def test_window_means_argument_validation():
+    model = SpinChainModel("I", 4, 1.0, 1.0)
+    for dt, k_lo, k_hi in ((0.0, 0, 2), (0.1, 2, 2), (0.1, -1, 2)):
+        with pytest.raises(ValueError):
+            mbs.window_means(model, dt, k_lo, k_hi, [1])
+    with pytest.raises(CapacityError):
+        mbs.window_means(SpinChainModel("I", 13, 1.0, 1.0), 0.1, 0, 2, [1])
+
+
 def test_trajectory_file_round_trip(tmp_path):
     model = SpinChainModel("II", 4, 1.0, 0.3, alpha=2.0, beta=0.5)
     traj = generate_trajectory(model, 0.07, 12, seed=4)

@@ -12,7 +12,8 @@ from lindfit.lindblad_generator import (
     stationary_state,
 )
 from lindfit.many_body_sim import Trajectory
-from lindfit.metrics import fvu, i_err, stationary_error, time_window, trace_norm
+from lindfit.metrics import (fvu, i_err, stationary_error, stationary_window,
+                             time_window, trace_norm)
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
 
 
@@ -215,6 +216,31 @@ def test_stationary_error_window_rules():
         with pytest.raises(ValueError,
                            match=rf"window {window} holds {count} snapshots at dt=0.1"):
             stationary_error([_traj(0.1, snaps)], v_st, tau=tau)
+
+
+def test_stationary_window_is_the_grid_times_inside_the_window(rng):
+    # the first and last k with a*tau - 1e-9 tau <= dt*k <= b*tau + 1e-9 tau,
+    # also where tau puts an end on a grid time or an ulp beside it
+    checked = 0
+    for _ in range(3000):
+        dt = rng.choice([0.01, 0.001, 0.024, 0.1, rng.uniform(1e-3, 1.0)])
+        a = rng.choice([0.0, 2.0, 5.0, rng.uniform(0.0, 5.0)])
+        b = a + rng.choice([2.0, 5.0, rng.uniform(0.01, 5.0)])
+        tau = int(rng.integers(1, 400)) * dt / rng.choice([a, b] if a else [b])
+        tau = rng.choice([tau, np.nextafter(tau, 0.0), np.nextafter(tau, 1.0)])
+        n_steps = math.ceil(b * tau / dt) + int(rng.choice([0, 1, 3]))
+        t = dt * np.arange(n_steps + 1)
+        if t[-1] < b * tau - 1e-9 * tau:
+            continue
+        inside = np.flatnonzero((t >= a * tau - 1e-9 * tau)
+                                & (t <= b * tau + 1e-9 * tau))
+        if inside.size < 2:
+            with pytest.raises(ValueError, match="stationary window"):
+                stationary_window(dt, n_steps, tau, a, b)
+        else:
+            assert stationary_window(dt, n_steps, tau, a, b) == (inside[0], inside[-1])
+            checked += 1
+    assert checked > 1000
 
 
 def test_stationary_error_relaxing_qubit():
