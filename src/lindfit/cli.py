@@ -36,7 +36,7 @@ from .trainer import TrainConfig, build_dataset, train, save_loss_curves
 from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
                             DEFAULT_MAX_SITES, restricted_hamiltonian,
-                            window_means)
+                            window_means, _check_capacity)
 from .metrics import (i_err, fvu, stationary_distance, stationary_window,
                       time_window)
 from .files import write_csv, write_json
@@ -70,9 +70,9 @@ class MetricsBlock:
     a: float = 5.0
     b: float = 10.0
     n_initial_conditions: int = 10
-    # a stationary window longer than this many steps of dt is averaged
-    # on a grid of every `stride` steps, so the grid, and the trajectory
-    # `stationary` prints on it, takes no more steps
+    # the trajectory `stationary` prints runs to b*tau in steps of
+    # `stride` * dt, the stride keeping it within this many steps; epsilon
+    # is averaged on the dt grid at any value
     max_window_steps: int = 2_000_000
 
 
@@ -173,6 +173,7 @@ def load_config(path):
     if not 0 <= cfg.metrics.a < cfg.metrics.b:
         raise ConfigError(f"metrics need 0 <= a < b, got a={cfg.metrics.a!r}, "
                           f"b={cfg.metrics.b!r}")
+    _check_capacity(cfg.model, sim.max_sites)
     return cfg
 
 
@@ -331,11 +332,12 @@ def _save_fit(cell, result):
 
 
 def _window_grid(cfg, tau):
-    """(dt_eps, n_steps): the grid the stationary window is averaged on.
+    """(dt_eps, n_steps): the grid of the trajectory cmd_stationary prints.
 
     It reaches b*tau in steps of dt_eps = stride * dt, the smallest stride
     that keeps it within metrics.max_window_steps steps; both counts are
     whole divisions of ceil(b*tau/dt), so the grid fits and covers.
+    Epsilon does not use it.
     """
     met, dt = cfg.metrics, cfg.simulation.dt
     fine_steps = math.ceil(met.b * tau / dt)
@@ -350,23 +352,24 @@ def _stationary_seed(cfg, k):
 def _epsilon_pipeline(cfg, L):
     """Stationary-state distance for the config's exact dynamics.
 
-    Returns (epsilon, status, info, grid), grid being _window_grid's
-    (dt_eps, n_steps), or None where epsilon is undefined.  Each initial
-    condition's window mean is taken in closed form on that grid
-    (many_body_sim.window_means), so no window trajectory is simulated.
+    Returns (epsilon, status, info); epsilon is nan unless status is
+    "ok".  Each initial condition's [a*tau, b*tau] window mean is taken
+    in closed form on the simulation's dt grid (many_body_sim.window_means),
+    so no window trajectory is simulated and metrics.max_window_steps
+    plays no part.
     """
     info = stationary_state(L)
     if info.no_gap:
-        return math.nan, "no_gap", info, None
+        return math.nan, "no_gap", info
     if info.non_unique or info.v_st is None:
-        return math.nan, "non_unique", info, None
-    met = cfg.metrics
-    grid = _window_grid(cfg, info.tau)
-    k_lo, k_hi = stationary_window(*grid, info.tau, met.a, met.b)
+        return math.nan, "non_unique", info
+    met, dt = cfg.metrics, cfg.simulation.dt
+    k_lo, k_hi = stationary_window(dt, math.ceil(met.b * info.tau / dt),
+                                   info.tau, met.a, met.b)
     seeds = [_stationary_seed(cfg, k) for k in range(met.n_initial_conditions)]
-    means = window_means(cfg.model, grid[0], k_lo, k_hi, seeds,
+    means = window_means(cfg.model, dt, k_lo, k_hi, seeds,
                          max_sites=cfg.simulation.max_sites)
-    return stationary_distance(means, info.v_st), "ok", info, grid
+    return stationary_distance(means, info.v_st), "ok", info
 
 
 def cmd_eval(cfg, model_path, manifest_path, out):
@@ -422,7 +425,7 @@ def _evaluate(cfg, L, exact_trajectories, dirs):
             ie_e.append(i_err(exact, pred, sim.T_train, sim.T_extrapolate))
             fv_e.append(fvu(time_window(exact, sim.T_train, sim.T_extrapolate),
                             time_window(pred, sim.T_train, sim.T_extrapolate)))
-    eps, eps_status, info, _ = _epsilon_pipeline(cfg, L)
+    eps, eps_status, info = _epsilon_pipeline(cfg, L)
     row = dict(zip(_ERRORS, (
         float(np.mean(ie_i)),
         float(np.mean(ie_e)) if ie_e else math.nan,
@@ -554,15 +557,17 @@ def cmd_scan(cfg, out, threads=1):
 def cmd_stationary(cfg, model_path, out):
     """Stationary-state report plus long-time observable series.
 
-    The series follows the first initial condition's exact trajectory on
-    the window grid, the one trajectory this command simulates.
+    The series follows the first initial condition's exact trajectory to
+    b*tau on _window_grid, the one trajectory this command simulates and
+    the only one metrics.max_window_steps bounds; epsilon is taken as eval
+    takes it.
     """
     params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
     L = assemble_generator(params, basis)
-    eps, status, info, grid = _epsilon_pipeline(cfg, L)
-    exact = None if grid is None else generate_trajectory(
-        cfg.model, *grid, _stationary_seed(cfg, 0),
+    eps, status, info = _epsilon_pipeline(cfg, L)
+    exact = None if status != "ok" else generate_trajectory(
+        cfg.model, *_window_grid(cfg, info.tau), _stationary_seed(cfg, 0),
         max_sites=cfg.simulation.max_sites)
     report = {
         "e_gap": info.e_gap,

@@ -19,6 +19,7 @@ n_i = (1+sigma_z_i)/2 takes value 1 - bit_i on a computational basis state.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,11 +65,12 @@ class SpinChainModel:
             if self.n_sites < 4 or self.n_sites % 2:
                 raise ValueError("variant II needs even n_sites >= 4")
             sub = (self.n_sites // 2, self.n_sites // 2 + 1)
-        if self.subsystem_sites is None:
-            object.__setattr__(self, "subsystem_sites", sub)
-        elif tuple(self.subsystem_sites) != sub:
+        if (self.subsystem_sites is not None
+                and tuple(self.subsystem_sites) != sub):
             raise ValueError(f"subsystem_sites must be {sub} for variant "
                              f"{self.variant} at n_sites={self.n_sites}")
+        # the derived integers, whatever equal numbers were given
+        object.__setattr__(self, "subsystem_sites", sub)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.beta < 0:
@@ -180,30 +182,18 @@ class Trajectory:
 _PHASE_CHUNK_ELEMS = 500_000
 
 
-# eigensystems kept for reuse, least recently used first; the oldest are
-# dropped while the kept ones take more than this many bytes, so a scan
-# worker keeps every cell's small chain between gen-data and eval while a
-# large chain keeps only itself
-_EIG_CACHE_BYTES = 128 << 20
-_EIG_CACHE = {}
-
-
+@lru_cache(maxsize=1)
 def _chain_eigensystem(model):
-    """Cached (eigenvalues, subsystem-resolved eigenvectors, real bath state)."""
-    hit = _EIG_CACHE.pop(model, None)
-    if hit is None:
-        n = model.n_sites
-        w, U = np.linalg.eigh(model_hamiltonian(model))
-        sa, sb = model.subsystem_sites
-        m = 1 << n
-        R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
-        R = np.ascontiguousarray(R.reshape(4, m // 4, m))
-        hit = w, R, np.ascontiguousarray(bath_thermal_state(model).real)
-    _EIG_CACHE[model] = hit
-    while (len(_EIG_CACHE) > 1 and _EIG_CACHE_BYTES <
-           sum(a.nbytes for entry in _EIG_CACHE.values() for a in entry)):
-        del _EIG_CACHE[next(iter(_EIG_CACHE))]
-    return hit
+    """(eigenvalues, subsystem-resolved eigenvectors, real bath state),
+    kept for the last chain asked for only: a 12-site chain's takes about
+    140 MB, and a small chain is rebuilt in milliseconds."""
+    n = model.n_sites
+    w, U = np.linalg.eigh(model_hamiltonian(model))
+    sa, sb = model.subsystem_sites
+    m = 1 << n
+    R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
+    R = np.ascontiguousarray(R.reshape(4, m // 4, m))
+    return w, R, np.ascontiguousarray(bath_thermal_state(model).real)
 
 
 def _check_capacity(model, max_sites):

@@ -1,5 +1,6 @@
 """Config parsing, seeding, and the end-to-end command pipeline."""
 
+import csv
 import json
 import math
 import os
@@ -372,7 +373,7 @@ def test_eval_report_csv_matches_cell_reference(tmp_path, monkeypatch, tau, stat
     monkeypatch.setattr(cli, "fvu", lambda e, p:
                         5e-324 if e.snapshots[0, 0] == 0 else 2 / 3)
     monkeypatch.setattr(cli, "_epsilon_pipeline", lambda cfg, L:
-                        (eps, status, SimpleNamespace(tau=tau), None))
+                        (eps, status, SimpleNamespace(tau=tau)))
     cfg = cli.ExperimentConfig(
         model=None,
         simulation=cli.SimulationBlock(dt=1.0, T_train=5, T_extrapolate=10.0),
@@ -576,16 +577,18 @@ def test_eval_simulates_no_window_and_stationary_one(tmp_path, monkeypatch):
      "alpha": 1.3, "beta": 0.4},
 ], ids=["I", "II"])
 def test_epsilon_matches_simulated_window_trapezoid(tmp_path, model):
-    # the closed-form window means score as the simulated window
-    # trajectories do, on the same strided grid
+    # the closed-form window means score as window trajectories simulated
+    # at dt do, under a budget that strides the printed trajectory
     cfg = load_config(_write_config(tmp_path, {
         "model": model,
         "metrics": {"max_window_steps": 40, "n_initial_conditions": 3}}))
     L = assemble_generator(_stable_two_spin_params(), build_pauli_basis(2))
-    eps, status, info, grid = cli._epsilon_pipeline(cfg, L)
+    eps, status, info = cli._epsilon_pipeline(cfg, L)
     assert status == "ok"
-    assert round(grid[0] / cfg.simulation.dt) > 1  # a stride above one
-    trajs = [generate_trajectory(cfg.model, *grid,
+    dt = cfg.simulation.dt
+    assert round(cli._window_grid(cfg, info.tau)[0] / dt) > 1  # strided
+    n_steps = math.ceil(cfg.metrics.b * info.tau / dt)
+    trajs = [generate_trajectory(cfg.model, dt, n_steps,
                                  derive_seed(cfg.simulation.seed, "stationary", k))
              for k in range(3)]
     ref = stationary_error(trajs, info.v_st, info.tau, cfg.metrics.a,
@@ -699,6 +702,42 @@ def test_main_capacity_error(tmp_path, capsys):
     assert err["error"] == "CapacityError"
 
 
+@pytest.mark.parametrize("command", ["gen-data", "scan"])
+def test_main_refuses_over_capacity_config_before_any_work(tmp_path, capsys,
+                                                           command):
+    # a chain above simulation.max_sites is refused by load_config, before
+    # the --out directory or any cell directory exists
+    cfg_path = _write_config(tmp_path, {
+        "model": {"n_sites": 14},
+        "scan": {"axis1_name": "beta", "axis1_values": [0.0, 0.5],
+                 "axis2_name": "V_prime", "axis2_values": [0.3]}})
+    out = tmp_path / "run"
+    rc = main(["--config", cfg_path, "--out", str(out), command])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "CapacityError"
+    assert not out.exists()
+
+
+def test_float_subsystem_sites_give_the_default_trajectories(tmp_path):
+    # [1.0, 2.0] equals the derived (1, 2) and is stored as those integers,
+    # so gen-data writes exactly what it writes without the key
+    trees = []
+    for name, model in (("floats", {"subsystem_sites": [1.0, 2.0]}),
+                        ("default", {})):
+        out = tmp_path / name
+        cfg_path = _write_config(tmp_path, {"model": model},
+                                 name=f"{name}.json")
+        assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
+        files = sorted((out / "data").iterdir())
+        trees.append({p.name: p.read_bytes() for p in files})
+    assert trees[0] == trees[1]
+    assert "train_000.csv" in trees[0]
+
+
 @pytest.mark.parametrize("overrides,commands", [
     ({"training": {"batch_size": 0}}, ["train"]),
     ({"training": {"batches_per_epoch": 0}}, ["train"]),
@@ -737,15 +776,56 @@ def test_main_refuses_bad_counts(tmp_path, capsys, overrides, commands):
     assert json.loads(lines[0])["error"] == "ConfigError"
 
 
+def _reported_epsilon(out, command):
+    reports = Path(out, "reports")
+    if command == "eval":
+        with open(reports / "eval_report.csv") as fh:
+            row = next(csv.DictReader(fh))
+        return row["epsilon_status"], row["epsilon_stationary"]
+    report = json.loads((reports / "stationary_report.json").read_text())
+    return report["epsilon_status"], report["epsilon_stationary"]
+
+
+@pytest.mark.parametrize("command", ["eval", "stationary"])
+def test_main_epsilon_does_not_depend_on_window_budget(tmp_path, capsys,
+                                                       command):
+    # epsilon is averaged on the dt grid at any budget, so budgets of a few
+    # steps report the default budget's epsilon bit for bit; the budget
+    # bounds only the trajectory stationary prints
+    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    args = ["--out", out, command, "--model", model_path]
+    args += ["--manifest", mpath] if command == "eval" else []
+    reported = []
+    for budget in (cli.MetricsBlock().max_window_steps, 1, 2, 3):
+        cfg_path = _write_config(
+            tmp_path, {"metrics": {"max_window_steps": budget}},
+            name=f"budget_{budget}.json")
+        assert main(["--config", cfg_path] + args) == 0, budget
+        reported.append(_reported_epsilon(out, command))
+        if command == "stationary":
+            printed = Path(out, "reports", "stationary_observables.csv")
+            rows = printed.read_text().splitlines()[1:]
+            assert len(rows) <= budget + 1
+    assert reported[0][0] == "ok"
+    assert reported[1:] == reported[:1] * 3
+    capsys.readouterr()
+
+
+# a window [5 tau, 5.05 tau] narrower than dt = 0.1 for the stand-in
+# model's tau of about 1
+_NARROW_WINDOW = {"a": 5.0, "b": 5.05}
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3])
 @pytest.mark.parametrize("command", ["eval", "stationary"])
 def test_main_refuses_stationary_window_under_two_snapshots(tmp_path, capsys,
                                                             command, budget):
-    # under a budget of a few steps the stand-in model's window [a tau, b tau]
-    # holds fewer than two snapshots of the coarse grid: refused, not 0/0
+    # a window [a tau, b tau] holding fewer than two snapshots of the dt
+    # grid is refused, not 0/0, at any budget
     _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    cfg_path = _write_config(tmp_path, {"metrics": {"max_window_steps": budget}},
-                             name="budget.json")
+    cfg_path = _write_config(
+        tmp_path, {"metrics": {"max_window_steps": budget, **_NARROW_WINDOW}},
+        name="budget.json")
     args = ["--config", cfg_path, "--out", out, command, "--model", model_path]
     rc = main(args + (["--manifest", mpath] if command == "eval" else []))
     captured = capsys.readouterr()
@@ -763,8 +843,8 @@ def test_main_refused_eval_writes_no_report_files(tmp_path, capsys):
     # the stationary window is refused after the trajectories are scored;
     # no time series may be left without its report
     _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    cfg_path = _write_config(tmp_path, {"metrics": {"max_window_steps": 1}},
-                             name="budget.json")
+    cfg_path = _write_config(tmp_path, {"metrics": _NARROW_WINDOW},
+                             name="narrow.json")
     rc = main(["--config", cfg_path, "--out", out, "eval", "--model", model_path,
                "--manifest", mpath])
     captured = capsys.readouterr()
@@ -812,15 +892,27 @@ def _stub_stationary_state(monkeypatch, tau):
         no_gap=False, non_unique=False, v_st=v_st, tau=tau))
 
 
+def _record_window_means(monkeypatch):
+    windows = []
+    monkeypatch.setattr(cli, "window_means",
+                        lambda model, dt, k_lo, k_hi, seeds, max_sites:
+                        windows.append((dt, k_lo, k_hi)))
+    monkeypatch.setattr(cli, "stationary_distance", lambda *args: 0.0)
+    return windows
+
+
 @pytest.mark.parametrize("tau", [0.018, np.nextafter(0.018, 1.0)])
 def test_window_budget_is_not_exceeded_by_rounding(tmp_path, monkeypatch, tau):
-    # b*tau/dt = 72 steps at a budget of 3: stride 24, 3 steps, whichever
-    # way the last bit of tau falls
+    # b*tau/dt = 72 steps at a budget of 3: the printed grid takes stride
+    # 24, 3 steps, whichever way the last bit of tau falls, while epsilon
+    # averages steps 36..72 of dt
     cfg = _window_budget_config(tmp_path)
     _stub_stationary_state(monkeypatch, tau)
-    eps, status, _, grid = cli._epsilon_pipeline(cfg, None)
-    assert status == "ok" and math.isfinite(eps)
-    assert grid == (0.001 * 24, 3)
+    assert cli._window_grid(cfg, tau) == (0.001 * 24, 3)
+    windows = _record_window_means(monkeypatch)
+    _, status, _ = cli._epsilon_pipeline(cfg, None)
+    assert status == "ok"
+    assert windows == [(0.001, 36, 72)]
 
 
 def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
@@ -828,33 +920,27 @@ def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
     # of the budget, where the stride and step count round
     cfg = _window_budget_config(tmp_path)
     met, dt = cfg.metrics, cfg.simulation.dt
-    windows = []
-    monkeypatch.setattr(cli, "window_means",
-                        lambda model, dt_eps, k_lo, k_hi, seeds, max_sites:
-                        windows.append((dt_eps, k_lo, k_hi)))
-    monkeypatch.setattr(cli, "stationary_distance", lambda *args: 0.0)
+    windows = _record_window_means(monkeypatch)
     for k in range(1, 40):
         tau0 = k * met.max_window_steps * dt / met.b
         for tau in (tau0, np.nextafter(tau0, 0.0), np.nextafter(tau0, 1.0),
                     np.nextafter(np.nextafter(tau0, 1.0), 1.0)):
             _stub_stationary_state(monkeypatch, tau)
+            # the printed grid: within the budget, a whole stride of dt,
+            # covering b*tau
             dt_eps, n_steps = cli._window_grid(cfg, tau)
             assert n_steps <= met.max_window_steps, tau
-            # a whole stride of dt, covering b*tau as stationary_window
-            # requires of the grid
             assert dt_eps == dt * round(dt_eps / dt), tau
             assert dt_eps * n_steps >= met.b * tau - 1e-9 * tau, tau
+            # epsilon: never refused, always averaged on dt inside
+            # [a tau, b tau]
             windows.clear()
-            try:
-                _, status, _, grid = cli._epsilon_pipeline(cfg, None)
-            except ValueError as exc:
-                # refused for the window's snapshot count, not for coverage
-                assert "stationary window" in str(exc), tau
-                continue
-            assert status == "ok" and grid == (dt_eps, n_steps), tau
-            # the closed form averages on the grid stationary prints
+            _, status, _ = cli._epsilon_pipeline(cfg, None)
+            assert status == "ok", tau
             (mean_dt, k_lo, k_hi), = windows
-            assert mean_dt == dt_eps and 0 <= k_lo < k_hi <= n_steps, tau
+            assert mean_dt == dt and k_lo < k_hi, tau
+            assert met.a * tau - 1e-9 * tau <= k_lo * dt, tau
+            assert k_hi * dt <= met.b * tau + 1e-9 * tau, tau
 
 
 @pytest.mark.parametrize("overrides", [

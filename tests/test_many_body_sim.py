@@ -396,6 +396,19 @@ def test_window_means_match_simulated_trapezoid(model, dt, k_lo, k_hi):
         assert ((off < 1e-9) & (np.abs(theta) > 1.0)).any()
 
 
+def test_long_window_mean_splits_at_any_step():
+    # a window of 10^6 steps, no snapshot simulated: its trapezoid mean is
+    # the step-weighted mean of the means of its two parts
+    model = SpinChainModel("II", 6, 1.0, 0.9, alpha=1.3, beta=0.4)
+    k_lo, k_mid, k_hi = 7, 400_011, 1_000_007
+    whole, left, right = (mbs.window_means(model, 0.01, lo, hi, (3, 4))
+                          for lo, hi in ((k_lo, k_hi), (k_lo, k_mid),
+                                         (k_mid, k_hi)))
+    parts = ((k_mid - k_lo) * left + (k_hi - k_mid) * right) / (k_hi - k_lo)
+    assert np.abs(whole - parts).max() < 1e-12
+    assert np.abs(whole - left).max() > 1e-6  # the parts do differ
+
+
 def test_window_means_argument_validation():
     model = SpinChainModel("I", 4, 1.0, 1.0)
     for dt, k_lo, k_hi in ((0.0, 0, 2), (0.1, 2, 2), (0.1, -1, 2)):
@@ -495,19 +508,15 @@ def test_load_trajectory_rejects_other_basis_convention(tmp_path):
         load_trajectory(path)
 
 
-def test_chain_eigensystem_cache_bounded_by_bytes(monkeypatch):
-    # small chains all stay cached; past the byte budget the least recently
-    # used go first, and the newest chain stays even when it alone is over
-    monkeypatch.setattr(mbs, "_EIG_CACHE", {})
-    models = [SpinChainModel("I", 4, 1.0, v, V_prime=0.2) for v in (0.1, 0.2, 0.3)]
-    first = [mbs._chain_eigensystem(m) for m in models]
-    assert all(mbs._chain_eigensystem(m) is e for m, e in zip(models, first))
-    size = sum(a.nbytes for a in first[0])
-    monkeypatch.setattr(mbs, "_EIG_CACHE_BYTES", 2 * size)
-    assert mbs._chain_eigensystem(models[0]) is first[0]
-    assert list(mbs._EIG_CACHE) == [models[2], models[0]]
-    monkeypatch.setattr(mbs, "_EIG_CACHE_BYTES", 0)
-    again = mbs._chain_eigensystem(models[1])
-    assert again is not first[1]
-    np.testing.assert_array_equal(again[0], first[1][0])
-    assert list(mbs._EIG_CACHE) == [models[1]]
+def test_chain_eigensystem_cache_keeps_one_chain():
+    # the same model returns the very arrays; another model evicts it, and
+    # the rebuilt eigensystem equals the first
+    a, b = (SpinChainModel("I", 4, 1.0, v, V_prime=0.2) for v in (0.1, 0.2))
+    first = mbs._chain_eigensystem(a)
+    assert mbs._chain_eigensystem(a) is first
+    assert mbs._chain_eigensystem(b) is not first
+    again = mbs._chain_eigensystem(a)
+    assert again is not first
+    for x, y in zip(again, first):
+        np.testing.assert_array_equal(x, y)
+    assert mbs._chain_eigensystem.cache_info().currsize == 1
