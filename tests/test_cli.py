@@ -787,8 +787,7 @@ def _reported_epsilon(out, command):
 
 
 @pytest.mark.parametrize("command", ["eval", "stationary"])
-def test_main_epsilon_does_not_depend_on_window_budget(tmp_path, capsys,
-                                                       command):
+def test_main_epsilon_does_not_depend_on_window_budget(tmp_path, command):
     # epsilon is averaged on the dt grid at any budget, so budgets of a few
     # steps report the default budget's epsilon bit for bit; the budget
     # bounds only the trajectory stationary prints
@@ -808,7 +807,6 @@ def test_main_epsilon_does_not_depend_on_window_budget(tmp_path, capsys,
             assert len(rows) <= budget + 1
     assert reported[0][0] == "ok"
     assert reported[1:] == reported[:1] * 3
-    capsys.readouterr()
 
 
 # a window [5 tau, 5.05 tau] narrower than dt = 0.1 for the stand-in
