@@ -4,7 +4,7 @@ Subcommands chain the library into reproducible workflows: exact-trajectory
 generation (`gen-data`), generator fitting (`train`), fidelity evaluation
 (`eval`), two-axis parameter scans (`scan`), stationary-state analysis
 (`stationary`) and model inspection (`interpret`).  Every command is a pure
-function of (config, input files, seed); all emitted times are in units of
+function of (config, input files); all emitted times are in units of
 1/omega.
 
 `train` and `eval` share their fitting and evaluation with `scan`, whose
@@ -112,17 +112,18 @@ _FIELD_KINDS = {
 def _block(cls, payload, name):
     """Build the dataclass `cls` from a JSON object.
 
-    Unknown keys, missing required keys and values of the wrong type are
-    refused with ConfigError; JSON lists become tuples and fields that are
-    themselves blocks are read the same way.
+    The keys are the fields __init__ takes; unknown keys, missing required
+    keys and values of the wrong type are refused with ConfigError.  JSON
+    lists become tuples and fields that are blocks are read the same way.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{name} block must be a JSON object, got {payload!r}")
     hints = get_type_hints(cls)
-    unknown = sorted(set(payload) - set(hints))
+    keys = {f.name: f for f in fields(cls) if f.init}
+    unknown = sorted(set(payload) - set(keys))
     if unknown:
         raise ConfigError(f"unknown keys in {name} block: {unknown}")
-    missing = sorted(f.name for f in fields(cls) if f.name not in payload
+    missing = sorted(key for key, f in keys.items() if key not in payload
                      and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ConfigError(f"missing keys in {name} block: {missing}")
@@ -170,6 +171,9 @@ def load_config(path):
             ("metrics.max_window_steps", cfg.metrics.max_window_steps, 1)):
         if value < least:
             raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    if cfg.training.learning_rate <= 0:
+        raise ConfigError(f"training.learning_rate must be positive, got "
+                          f"{cfg.training.learning_rate!r}")
     if not 0 <= cfg.metrics.a < cfg.metrics.b:
         raise ConfigError(f"metrics need 0 <= a < b, got a={cfg.metrics.a!r}, "
                           f"b={cfg.metrics.b!r}")
@@ -186,11 +190,8 @@ def derive_seed(base, *parts):
 
 def _dirs(cfg, out):
     p = cfg.paths
-    d = {k: os.path.join(out, v) for k, v in
-         (("data", p.data_dir), ("model", p.model_dir), ("report", p.report_dir))}
-    for v in d.values():
-        os.makedirs(v, exist_ok=True)
-    return d
+    return {k: os.path.join(out, v) for k, v in
+            (("data", p.data_dir), ("model", p.model_dir), ("report", p.report_dir))}
 
 
 def _map(fn, jobs, threads):
@@ -547,7 +548,6 @@ def cmd_scan(cfg, out, threads=1):
     bounds = [len(values) * g // n_groups for g in range(n_groups + 1)]
     groups = [(cfg, values[lo:hi], out) for lo, hi in zip(bounds, bounds[1:])]
     rows = [row for group in _map(_scan_cell, groups, n_groups) for row in group]
-    os.makedirs(os.path.join(out, "scan"), exist_ok=True)
     csv_path = os.path.join(out, "scan", "scan_results.csv")
     write_csv(csv_path, ["axis1", "axis2", *_ERRORS[:4], "epsilon", "status"],
               rows)
@@ -670,8 +670,6 @@ def _build_parser():
         description="Learn and analyze Markovian generators for a two-spin "
                     "subsystem of an exactly simulated spin chain.")
     ap.add_argument("--config", required=True, help="JSON experiment config")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="override simulation.seed")
     ap.add_argument("--out", default=".", help="output root directory")
     ap.add_argument("--threads", type=int, default=1,
                     help="worker processes for gen-data and scan "
@@ -705,9 +703,6 @@ def main(argv=None):
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, simulation=replace(cfg.simulation,
-                                                  seed=args.seed))
         out = args.out
         manifest = getattr(args, "manifest", None)
         model_path = getattr(args, "model", None)

@@ -10,7 +10,8 @@ import os
 def replacing(path):
     """Open a text file for writing that replaces `path` when the block ends.
 
-    The text goes to a temporary file beside `path`, named
+    The text goes to a temporary file beside `path` (whose directory is
+    made if missing), named
     `<path>.<pid>.tmp` so that it matches no `*.csv` or `*.json` pattern,
     and os.replace moves it onto `path` once the block has succeeded.  If
     the block raises, the temporary file is removed and `path` keeps what
@@ -19,6 +20,7 @@ def replacing(path):
     loss, after which the rename may reach the disk before the data.
     """
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:

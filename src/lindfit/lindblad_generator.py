@@ -622,8 +622,9 @@ def load_model(path):
     """Read a model file; returns (params, basis, dt, payload).
 
     A file that is not a JSON object, or whose d is not a positive integer,
-    dt not a positive finite number, or omega, X and Y not finite numbers
-    of the shapes d sets, is refused with ValueError.
+    dt not a positive finite number, omega, X and Y not finite numbers of
+    the shapes d sets, or convention_id not its basis's, is refused with
+    ValueError.
     """
     with open(path) as fh:
         payload = json.load(fh)
@@ -651,7 +652,8 @@ def load_model(path):
         arrays[key] = value.astype(float)
     # the shapes, checked first, bound d by the size of the file
     basis = basis_for_dimension(d)
-    if payload["convention_id"] != basis.convention_id:
-        raise ValueError(f"model uses basis convention {payload['convention_id']!r}, "
-                         f"expected {basis.convention_id!r}")
+    convention = payload.get("convention_id")
+    if convention != basis.convention_id:
+        raise ValueError(f"{path}: convention_id must be "
+                         f"{basis.convention_id!r}, got {convention!r}")
     return GeneratorParams(**arrays), basis, float(dt), payload

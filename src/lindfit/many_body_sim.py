@@ -52,7 +52,7 @@ class SpinChainModel:
     V_prime: float = 0.0
     alpha: float = 0.0
     beta: float = 0.0
-    subsystem_sites: tuple = field(default=None)
+    subsystem_sites: tuple = field(init=False)
 
     def __post_init__(self):
         if self.variant not in ("I", "II"):
@@ -65,11 +65,6 @@ class SpinChainModel:
             if self.n_sites < 4 or self.n_sites % 2:
                 raise ValueError("variant II needs even n_sites >= 4")
             sub = (self.n_sites // 2, self.n_sites // 2 + 1)
-        if (self.subsystem_sites is not None
-                and tuple(self.subsystem_sites) != sub):
-            raise ValueError(f"subsystem_sites must be {sub} for variant "
-                             f"{self.variant} at n_sites={self.n_sites}")
-        # the derived integers, whatever equal numbers were given
         object.__setattr__(self, "subsystem_sites", sub)
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")

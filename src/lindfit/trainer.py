@@ -6,9 +6,9 @@ Gradients are exact reverse-mode derivatives through the same truncated
 Taylor series the forward pass uses; lindblad_generator maps them back
 through the folded assembly map and the Kossakowski factors, so the
 trainer sees the parameters only as one flat vector theta.  Optimization
-is plain Adam on theta with fixed hyperparameters, updated in place, its
-moments plain arrays shaped like theta; batches are drawn uniformly with
-replacement.
+is plain Adam on theta with the fixed ADAM_* hyperparameters, updated in
+place, its moments plain arrays shaped like theta; batches are drawn
+uniformly with replacement.
 
 A dataset holds each role's pairs once, as a table with one row
 [v_in | v_out] per pair; a batch is a gather of rows, handed to
@@ -45,12 +45,14 @@ from .files import write_csv
 from .spin_algebra import basis_for_dimension
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 20
     batch_size: int = 256
     batches_per_epoch: int = 512
@@ -178,7 +180,7 @@ def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
     parameter sets update as they would alone.
     """
     t = state.step = state.step + 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g = grads.theta
     m, v = state.m, state.v
     m *= b1
@@ -187,7 +189,7 @@ def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
     v += (1.0 - b2) * g * g
     root_c2 = math.sqrt(1.0 - b2 ** t)
     step = np.sqrt(v)
-    step += config.epsilon * root_c2
+    step += ADAM_EPSILON * root_c2
     np.divide(m, step, out=step)
     step *= config.learning_rate * root_c2 / (1.0 - b1 ** t)
     params.theta -= step

@@ -1,10 +1,11 @@
 """Config parsing, seeding, and the end-to-end command pipeline."""
 
+import argparse
 import csv
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -722,26 +723,12 @@ def test_main_refuses_over_capacity_config_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_float_subsystem_sites_give_the_default_trajectories(tmp_path):
-    # [1.0, 2.0] equals the derived (1, 2) and is stored as those integers,
-    # so gen-data writes exactly what it writes without the key
-    trees = []
-    for name, model in (("floats", {"subsystem_sites": [1.0, 2.0]}),
-                        ("default", {})):
-        out = tmp_path / name
-        cfg_path = _write_config(tmp_path, {"model": model},
-                                 name=f"{name}.json")
-        assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
-        files = sorted((out / "data").iterdir())
-        trees.append({p.name: p.read_bytes() for p in files})
-    assert trees[0] == trees[1]
-    assert "train_000.csv" in trees[0]
-
-
 @pytest.mark.parametrize("overrides,commands", [
     ({"training": {"batch_size": 0}}, ["train"]),
     ({"training": {"batches_per_epoch": 0}}, ["train"]),
     ({"training": {"epochs": -3}}, ["train"]),
+    ({"training": {"learning_rate": 0.0}}, ["train"]),
+    ({"training": {"learning_rate": -1.0}}, ["train"]),
     ({"metrics": {"n_initial_conditions": 0}}, ["stationary"]),
     ({"simulation": {"n_eval_trajectories": 0}}, ["gen-data", "eval"]),
     ({"metrics": {"max_window_steps": 0}}, ["gen-data"]),
@@ -755,7 +742,8 @@ def test_float_subsystem_sites_give_the_default_trajectories(tmp_path):
     ({"simulation": {"n_eval_trajectories": 0},
       "scan": {"axis1_name": "beta", "axis1_values": [0.0],
                "axis2_name": "V_prime", "axis2_values": [0.3]}}, ["scan"]),
-], ids=["batch_size", "batches_per_epoch", "epochs", "n_initial_conditions",
+], ids=["batch_size", "batches_per_epoch", "epochs", "learning_rate_zero",
+        "learning_rate_negative", "n_initial_conditions",
         "no_eval_files", "max_window_steps", "a_above_b", "a_equals_b",
         "a_negative", "T_train", "T_extrapolate_equals_T_train", "n_trajectories",
         "n_eval_negative", "scan_no_eval_files"])
@@ -855,6 +843,23 @@ def test_main_refused_eval_writes_no_report_files(tmp_path, capsys):
     assert not (reports / "eval_report.csv").exists()
 
 
+@pytest.mark.parametrize("command,error", [("train", "FileNotFoundError"),
+                                           ("stationary", "ValueError")])
+def test_main_refusal_makes_no_directory(tmp_path, capsys, command, error):
+    # train without a manifest, and stationary on a window narrower than
+    # dt, fail before their first file; a directory is only made for a file
+    _, model_path, _, _ = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg_path = _write_config(tmp_path, {"metrics": _NARROW_WINDOW},
+                             name="narrow.json")
+    out = tmp_path / "refused"
+    args = ["--config", cfg_path, "--out", str(out), command]
+    rc = main(args + (["--model", model_path] if command == "stationary" else []))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert json.loads(captured.err)["error"] == error
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])
 def test_main_refuses_model_of_wrong_dimension(tmp_path, capsys, command):
     # a well-formed one-spin model file, but every command works on the
@@ -949,12 +954,12 @@ def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
     {"metrics": {"a": "5"}},
     {"metrics": {"b": float("inf")}},
     {"training": {"learning_rate": "1e-2"}},
-    {"training": {"beta1": float("nan")}},
+    {"training": {"init_scale": float("nan")}},
     {"training": {"epochs": 2.0}},
     {"model": {"omega": "1"}},
     {"model": {"n_sites": 4.0}},
 ], ids=["dt_str", "n_trajectories_float", "max_sites_str", "seed_bool",
-        "a_str", "b_inf", "learning_rate_str", "beta1_nan", "epochs_float",
+        "a_str", "b_inf", "learning_rate_str", "init_scale_nan", "epochs_float",
         "omega_str", "n_sites_float"])
 def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
     cfg_path = _write_config(tmp_path, overrides)
@@ -993,6 +998,8 @@ _MODEL_EDITS = {
     "omega_null": lambda p: dict(p, omega=None),
     "X_strings": lambda p: dict(p, X=[[str(x) for x in row] for row in p["X"]]),
     "Y_bools": lambda p: dict(p, Y=[[False] * 15] * 15),
+    "convention_id_missing": lambda p: {k: v for k, v in p.items()
+                                        if k != "convention_id"},
 }
 
 
@@ -1015,7 +1022,8 @@ def test_main_refuses_malformed_model(tmp_path, capsys, command, edit):
     assert "Traceback" not in captured.err
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "ValueError"
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and model_path in err["message"]
     assert not os.path.exists(out / "reports" / f"{command}_report.json")
 
 
@@ -1051,12 +1059,52 @@ def test_main_refuses_malformed_config(tmp_path, capsys, block, value):
     _assert_config_refused(tmp_path, capsys, str(cfg_path))
 
 
-def test_main_seed_override_changes_data(tmp_path):
-    cfg_path = _write_config(tmp_path)
-    out_a = str(tmp_path / "a")
-    out_b = str(tmp_path / "b")
-    assert main(["--config", cfg_path, "--out", out_a, "gen-data"]) == 0
-    assert main(["--config", cfg_path, "--seed", "7", "--out", out_b, "gen-data"]) == 0
-    a = Path(out_a, "data", "train_000.csv").read_text()
-    b = Path(out_b, "data", "train_000.csv").read_text()
-    assert a != b
+@pytest.mark.parametrize("overrides", [
+    {"training": {"beta1": 0.9}},
+    {"training": {"beta2": 0.999}},
+    {"training": {"epsilon": 1e-8}},
+    {"model": {"subsystem_sites": [1, 2]}},
+], ids=["beta1", "beta2", "epsilon", "subsystem_sites"])
+def test_main_refuses_fixed_values(tmp_path, capsys, overrides):
+    # Adam's constants and the derived subsystem pair are not settable,
+    # not even to the values they hold
+    _assert_config_refused(tmp_path, capsys, _write_config(tmp_path, overrides))
+
+
+# every value a config or the command line sets; a new one is added here,
+# in the README and in CHANGES.md
+_SETTABLE = {
+    "model": {"variant", "n_sites", "omega", "V", "V_prime", "alpha", "beta"},
+    "simulation": {"dt", "T_train", "T_extrapolate", "n_trajectories",
+                   "n_eval_trajectories", "seed", "max_sites"},
+    "training": {"learning_rate", "epochs", "batch_size", "batches_per_epoch",
+                 "init_scale", "seed"},
+    "scan": {"axis1_name", "axis1_values", "axis2_name", "axis2_values"},
+    "metrics": {"a", "b", "n_initial_conditions", "max_window_steps"},
+    "paths": {"data_dir", "model_dir", "report_dir"},
+}
+_FLAGS = {"--config", "--out", "--threads", "--manifest", "--model"}
+
+
+def test_settable_values_are_pinned(tmp_path):
+    # the config reader takes exactly the pinned keys of each block: a
+    # config of them loads, and every other field of a block is refused
+    cfg = load_config(_write_config(tmp_path))
+    every = json.loads(json.dumps(asdict(cfg)))
+    assert set(every) == set(_SETTABLE)
+    config = {name: {k: v for k, v in block.items() if k in _SETTABLE[name]}
+              for name, block in every.items()}
+    assert cli._block(cli.ExperimentConfig, config, "top-level") == cfg
+    for name, block in every.items():
+        for key in set(block) - _SETTABLE[name]:
+            extra = dict(config, **{name: dict(config[name], **{key: block[key]})})
+            with pytest.raises(ConfigError, match="unknown keys"):
+                cli._block(cli.ExperimentConfig, extra, "top-level")
+    flags, parsers = set(), [cli._build_parser()]
+    while parsers:
+        actions = parsers.pop()._actions
+        flags.update(s for a in actions for s in a.option_strings)
+        parsers += [p for a in actions if isinstance(a, argparse._SubParsersAction)
+                    for p in a.choices.values()]
+    assert flags - {"-h", "--help"} == _FLAGS
+    assert sum(map(len, _SETTABLE.values())) + len(_FLAGS) == 36

@@ -109,8 +109,11 @@ def test_model_validation():
         SpinChainModel("II", 5, 1.0, 1.0)
     with pytest.raises(ValueError):
         SpinChainModel("I", 4, 1.0, 1.0, beta=-0.1)
-    with pytest.raises(ValueError):
-        SpinChainModel("I", 4, 1.0, 1.0, subsystem_sites=(2, 3))
+    # the subsystem pair is derived, never given
+    with pytest.raises(TypeError):
+        SpinChainModel("I", 4, 1.0, 1.0, subsystem_sites=(1, 2))
+    assert SpinChainModel("I", 5, 1.0, 1.0).subsystem_sites == (1, 2)
+    assert SpinChainModel("II", 6, 1.0, 1.0).subsystem_sites == (3, 4)
 
 
 def test_bath_sites():

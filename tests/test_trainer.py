@@ -187,7 +187,8 @@ def test_loss_gauge_invariance():
 
 
 def test_adam_step_matches_reference_recurrence():
-    cfg = TrainConfig(learning_rate=0.05, beta1=0.8, beta2=0.95, epsilon=1e-9)
+    cfg = TrainConfig(learning_rate=0.05)
+    b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPSILON
     rng = np.random.default_rng(4)
     params = GeneratorParams.random(3, 1.0, rng)
     state = AdamState(m=np.zeros(21), v=np.zeros(21))
@@ -201,11 +202,11 @@ def test_adam_step_matches_reference_recurrence():
         assert state.step == t
         for k in ("omega", "X", "Y"):
             g = getattr(grads, k)
-            ref_m[k] = cfg.beta1 * ref_m[k] + (1 - cfg.beta1) * g
-            ref_v[k] = cfg.beta2 * ref_v[k] + (1 - cfg.beta2) * g * g
-            mh = ref_m[k] / (1 - cfg.beta1 ** t)
-            vh = ref_v[k] / (1 - cfg.beta2 ** t)
-            ref_p[k] = ref_p[k] - cfg.learning_rate * mh / (np.sqrt(vh) + cfg.epsilon)
+            ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+            ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+            mh = ref_m[k] / (1 - b1 ** t)
+            vh = ref_v[k] / (1 - b2 ** t)
+            ref_p[k] = ref_p[k] - cfg.learning_rate * mh / (np.sqrt(vh) + eps)
             np.testing.assert_allclose(getattr(params, k), ref_p[k], atol=1e-14)
 
 
