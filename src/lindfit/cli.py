@@ -39,7 +39,7 @@ from .many_body_sim import (SpinChainModel, generate_trajectory,
                             window_means, _check_capacity)
 from .metrics import (i_err, fvu, stationary_distance, stationary_window,
                       time_window)
-from .files import write_csv, write_json
+from .files import read_json, write_csv, write_json
 
 
 class ConfigError(ValueError):
@@ -146,12 +146,7 @@ def _check_divides(dt, T, what):
 
 
 def load_config(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    cfg = _block(ExperimentConfig, raw, "top-level")
+    cfg = _block(ExperimentConfig, read_json(path, ConfigError), "top-level")
     sim = cfg.simulation
     if sim.dt <= 0:
         raise ConfigError("simulation.dt must be positive")
@@ -189,9 +184,13 @@ def derive_seed(base, *parts):
 
 
 def _dirs(cfg, out):
+    """The data and report directories under `out`, and the manifest and
+    model files every command reads where gen-data and train write them."""
     p = cfg.paths
-    return {k: os.path.join(out, v) for k, v in
-            (("data", p.data_dir), ("model", p.model_dir), ("report", p.report_dir))}
+    data = os.path.join(out, p.data_dir)
+    return {"data": data, "manifest": os.path.join(data, "manifest.json"),
+            "model": os.path.join(out, p.model_dir, "model.json"),
+            "report": os.path.join(out, p.report_dir)}
 
 
 def _map(fn, jobs, threads):
@@ -230,11 +229,11 @@ def _gen_data(cfg, out, threads=1, keep=False):
              os.path.join(dirs["data"], name), sim.max_sites, keep)
             for role, _, T in roles for i, name in enumerate(files[role])]
     trajectories = _map(_gen_worker, jobs, threads)
-    mpath = os.path.join(dirs["data"], "manifest.json")
-    write_json(mpath, {"model": asdict(cfg.model), "simulation": asdict(sim),
-                       "train_files": files["train"],
-                       "eval_files": files["eval"]}, indent=2)
-    return mpath, trajectories
+    write_json(dirs["manifest"], {"model": asdict(cfg.model),
+                                  "simulation": asdict(sim),
+                                  "train_files": files["train"],
+                                  "eval_files": files["eval"]}, indent=2)
+    return dirs["manifest"], trajectories
 
 
 def _gen_worker(job):
@@ -246,21 +245,29 @@ def _gen_worker(job):
     return traj if keep else None
 
 
-def _load_manifest(manifest_path):
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{manifest_path}: manifest must be a JSON object, "
-                          f"got {type(manifest).__name__}")
+def _load_manifest(cfg, path):
+    """The manifest at `path`, refused unless it lists its files and its
+    data is of the config's chain and dt."""
+    manifest = read_json(path, ConfigError)
     for key in ("train_files", "eval_files"):
         names = manifest.get(key)
         if not (isinstance(names, list)
                 and all(isinstance(name, str) for name in names)):
-            raise ConfigError(f"{manifest_path}: {key} must be a list of "
+            raise ConfigError(f"{path}: {key} must be a list of "
                               f"file names, got {names!r}")
-    return manifest, os.path.dirname(manifest_path)
+    # the config's values as gen-data writes them (tuples as JSON lists)
+    want = json.loads(json.dumps({"model": asdict(cfg.model),
+                                  "simulation": {"dt": cfg.simulation.dt}}))
+    differ = []
+    for block, values in want.items():
+        have = manifest.get(block)
+        have = have if isinstance(have, dict) else {}
+        differ += [f"{block}.{key}" for key, value in values.items()
+                   if have.get(key) != value]
+    if differ:
+        raise ConfigError(f"{path} holds data of another chain: "
+                          f"{', '.join(differ)} differ from the config")
+    return manifest
 
 
 def _cellwise(fn, *columns):
@@ -282,11 +289,11 @@ def _cellwise(fn, *columns):
     return results
 
 
-def cmd_train(cfg, manifest_path, out):
+def cmd_train(cfg, out):
     """Fit a generator on the manifest's training files, t <= T_train."""
     dirs = _dirs(cfg, out)
-    manifest, data_dir = _load_manifest(manifest_path)
-    trajs = [load_trajectory(os.path.join(data_dir, name))
+    manifest = _load_manifest(cfg, dirs["manifest"])
+    trajs = [load_trajectory(os.path.join(dirs["data"], name))
              for name in manifest["train_files"]]
     fit = _fit(cfg.training, [(cfg, dirs, trajs)])[0]
     if isinstance(fit, Exception):
@@ -321,15 +328,14 @@ def _dataset(cell):
 
 def _save_fit(cell, result):
     cfg, dirs = cell[:2]
-    model_path = os.path.join(dirs["model"], "model.json")
     val = result.val_history[-1]
-    save_model(model_path, result.params, build_pauli_basis(2), cfg.simulation.dt,
+    save_model(dirs["model"], result.params, build_pauli_basis(2), cfg.simulation.dt,
                extra={"final_train_loss": result.train_history[-1],
                       # nan without a validation set; JSON holds no nan
                       "final_val_loss": None if math.isnan(val) else val})
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
                      result.train_history, result.val_history)
-    return model_path, result.params
+    return dirs["model"], result.params
 
 
 def _window_grid(cfg, tau):
@@ -373,18 +379,18 @@ def _epsilon_pipeline(cfg, L):
     return stationary_distance(means, info.v_st), "ok", info
 
 
-def cmd_eval(cfg, model_path, manifest_path, out):
+def cmd_eval(cfg, out):
     """Fidelity report for a learned model against the eval trajectories."""
-    manifest, data_dir = _load_manifest(manifest_path)
+    dirs = _dirs(cfg, out)
+    manifest = _load_manifest(cfg, dirs["manifest"])
     if not manifest["eval_files"]:
-        raise ConfigError(f"{manifest_path} lists no eval trajectories; "
+        raise ConfigError(f"{dirs['manifest']} lists no eval trajectories; "
                           "set simulation.n_eval_trajectories >= 1")
-    params, basis, model_dt = _load_two_spin_model(model_path)
+    params, basis, model_dt = _load_two_spin_model(dirs["model"])
     if abs(model_dt - cfg.simulation.dt) > 1e-12:
         raise ConfigError(f"model dt={model_dt} differs from config "
                           f"dt={cfg.simulation.dt}")
-    dirs = _dirs(cfg, out)
-    exact = [load_trajectory(os.path.join(data_dir, name))
+    exact = [load_trajectory(os.path.join(dirs["data"], name))
              for name in manifest["eval_files"]]
     return _evaluate(cfg, assemble_generator(params, basis), exact, dirs)
 
@@ -554,7 +560,7 @@ def cmd_scan(cfg, out, threads=1):
     return csv_path
 
 
-def cmd_stationary(cfg, model_path, out):
+def cmd_stationary(cfg, out):
     """Stationary-state report plus long-time observable series.
 
     The series follows the first initial condition's exact trajectory to
@@ -562,8 +568,8 @@ def cmd_stationary(cfg, model_path, out):
     the only one metrics.max_window_steps bounds; epsilon is taken as eval
     takes it.
     """
-    params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
+    params, basis, _ = _load_two_spin_model(dirs["model"])
     L = assemble_generator(params, basis)
     eps, status, info = _epsilon_pipeline(cfg, L)
     exact = None if status != "ok" else generate_trajectory(
@@ -622,10 +628,10 @@ def reference_two_spin_hamiltonian(model):
     return H - np.trace(H) / 4.0 * np.eye(4)
 
 
-def cmd_interpret(cfg, model_path, out):
+def cmd_interpret(cfg, out):
     """Emit learned Hamiltonian/Kossakowski data and the jump decomposition."""
-    params, basis, _ = _load_two_spin_model(model_path)
     dirs = _dirs(cfg, out)
+    params, basis, _ = _load_two_spin_model(dirs["model"])
     H_learned = extract_hamiltonian(params, basis)
     H_ref = reference_two_spin_hamiltonian(cfg.model)
     diff = H_learned - H_ref
@@ -675,26 +681,10 @@ def _build_parser():
                     help="worker processes for gen-data and scan "
                          "(default 1)")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen-data")
-    p = sub.add_parser("train")
-    p.add_argument("--manifest", default=None)
-    p = sub.add_parser("eval")
-    p.add_argument("--model", default=None)
-    p.add_argument("--manifest", default=None)
-    sub.add_parser("scan")
-    p = sub.add_parser("stationary")
-    p.add_argument("--model", default=None)
-    p = sub.add_parser("interpret")
-    p.add_argument("--model", default=None)
+    for command in ("gen-data", "train", "eval", "scan", "stationary",
+                    "interpret"):
+        sub.add_parser(command)
     return ap
-
-
-def _default_manifest(cfg, out):
-    return os.path.join(out, cfg.paths.data_dir, "manifest.json")
-
-
-def _default_model(cfg, out):
-    return os.path.join(out, cfg.paths.model_dir, "model.json")
 
 
 def main(argv=None):
@@ -704,30 +694,20 @@ def main(argv=None):
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         out = args.out
-        manifest = getattr(args, "manifest", None)
-        model_path = getattr(args, "model", None)
         if args.command == "gen-data":
-            path = cmd_gen_data(cfg, out, threads=args.threads)
-            print(f"manifest: {path}")
+            print(f"manifest: {cmd_gen_data(cfg, out, threads=args.threads)}")
         elif args.command == "train":
-            path = cmd_train(cfg, manifest or _default_manifest(cfg, out), out)
-            print(f"model: {path}")
+            print(f"model: {cmd_train(cfg, out)}")
         elif args.command == "eval":
-            rep = cmd_eval(cfg, model_path or _default_model(cfg, out),
-                           manifest or _default_manifest(cfg, out), out)
+            rep = cmd_eval(cfg, out)
             for key in _ERRORS[:2]:
                 print(f"{key}: {rep[key]:.6g}")
         elif args.command == "scan":
-            path = cmd_scan(cfg, out, threads=args.threads)
-            print(f"scan results: {path}")
+            print(f"scan results: {cmd_scan(cfg, out, threads=args.threads)}")
         elif args.command == "stationary":
-            path = cmd_stationary(cfg, model_path or _default_model(cfg, out),
-                                  out)
-            print(f"stationary report: {path}")
+            print(f"stationary report: {cmd_stationary(cfg, out)}")
         elif args.command == "interpret":
-            path = cmd_interpret(cfg, model_path or _default_model(cfg, out),
-                                 out)
-            print(f"interpret report: {path}")
+            print(f"interpret report: {cmd_interpret(cfg, out)}")
         return 0
     except (ConfigError, ValueError, KeyError, FileNotFoundError,
             CapacityError, RuntimeError) as exc:

@@ -1,5 +1,5 @@
-"""The package's one file writer: CSV and JSON files that a failing writer
-never leaves half written."""
+"""The package's one file writer (CSV and JSON files that a failing writer
+never leaves half written) and its one JSON reader."""
 
 import contextlib
 import json
@@ -43,6 +43,19 @@ def write_csv(path, cols, rows, head=()):
         lines += [fmt % tuple(row) for row in rows]
     with replacing(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_json(path, error=ValueError):
+    """The JSON object in `path`; a file that is not valid JSON, or holds
+    another JSON value, is refused with `error` naming the file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def write_json(path, obj, indent=None):

@@ -51,13 +51,12 @@ alone, so its result does not depend on the rest of the stack.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .files import write_json
+from .files import read_json, write_json
 from .spin_algebra import BasisSet, basis_for_dimension
 
 # Taylor degrees m that Paterson-Stockmeyer evaluates most cheaply, and the
@@ -621,16 +620,12 @@ def save_model(path, params: GeneratorParams, basis: BasisSet, dt: float,
 def load_model(path):
     """Read a model file; returns (params, basis, dt, payload).
 
-    A file that is not a JSON object, or whose d is not a positive integer,
-    dt not a positive finite number, omega, X and Y not finite numbers of
-    the shapes d sets, or convention_id not its basis's, is refused with
-    ValueError.
+    A file that is not valid JSON or not a JSON object, or whose d is not
+    a positive integer, dt not a positive finite number, omega, X and Y
+    not finite numbers of the shapes d sets, or convention_id not its
+    basis's, is refused with ValueError naming the file.
     """
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a model file holds a JSON object, "
-                         f"got {type(payload).__name__}")
+    payload = read_json(path)
     if payload.get("format") != "lindfit-model-v1":
         raise ValueError(f"unrecognized model file format in {path}")
     d, dt = payload.get("d"), payload.get("dt")

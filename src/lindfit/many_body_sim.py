@@ -359,6 +359,9 @@ def save_trajectory(path, traj):
 
 
 def load_trajectory(path):
+    """Read a save_trajectory file; one without its snapshot table, of another
+    basis convention, or with a header key missing or unparsed is refused
+    with ValueError naming the file."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = {}
@@ -375,17 +378,23 @@ def load_trajectory(path):
     if meta.get("convention_id") != convention:
         raise ValueError(f"{path}: trajectory uses basis convention "
                          f"{meta.get('convention_id')!r}, expected {convention!r}")
+
+    def header(key, kind=float):
+        try:
+            return kind(meta[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: header {key}= must hold a "
+                             f"{kind.__name__}, got {meta.get(key)!r}") from None
+
     model = SpinChainModel(
-        variant=meta["variant"], n_sites=int(meta["n_sites"]),
-        omega=float(meta["omega"]), V=float(meta["V"]),
-        V_prime=float(meta["V_prime"]), alpha=float(meta["alpha"]),
-        beta=float(meta["beta"]))
-    n_steps = int(meta["n_steps"])
+        variant=header("variant", str), n_sites=header("n_sites", int),
+        **{k: header(k) for k in ("omega", "V", "V_prime", "alpha", "beta")})
+    n_steps = header("n_steps", int)
     rows = [ln for ln in lines[body:] if ln]
     if len(rows) != n_steps + 1:
         raise ValueError(f"{path}: expected {n_steps + 1} rows, got {len(rows)}")
     snaps = np.ascontiguousarray(
         np.loadtxt(rows, delimiter=",", ndmin=2)[:, 1:])
-    seed = int(meta["seed"]) if meta.get("seed") else None
-    return Trajectory(model=model, dt=float(meta["dt"]), snapshots=snaps,
+    seed = header("seed", int) if meta.get("seed") else None
+    return Trajectory(model=model, dt=header("dt"), snapshots=snaps,
                       seed=seed)

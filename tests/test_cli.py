@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -217,8 +218,8 @@ def test_main_refuses_threads_below_one(tmp_path, capsys, monkeypatch, threads):
 def test_train_writes_artifacts(tmp_path):
     cfg = load_config(_write_config(tmp_path))
     out = str(tmp_path / "run")
-    mpath = cmd_gen_data(cfg, out)
-    model_path = cmd_train(cfg, mpath, out)
+    cmd_gen_data(cfg, out)
+    model_path = cmd_train(cfg, out)
     assert os.path.exists(model_path)
     payload = json.loads(Path(model_path).read_text())
     assert payload["format"] == "lindfit-model-v1"
@@ -250,15 +251,15 @@ def _synthetic_eval_setup(tmp_path, n_eval_steps):
         name = f"eval_{i:03d}.csv"
         save_trajectory(os.path.join(out, "data", name), traj)
         names.append(name)
-    mpath = os.path.join(out, "data", "manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump({"train_files": [], "eval_files": names}, fh)
-    return cfg, model_path, mpath, out
+    with open(os.path.join(out, "data", "manifest.json"), "w") as fh:
+        json.dump({"model": asdict(cfg.model), "simulation": asdict(cfg.simulation),
+                   "train_files": [], "eval_files": names}, fh)
+    return cfg, model_path, out
 
 
 def test_eval_on_own_dynamics_is_exact(tmp_path):
-    cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    report = cmd_eval(cfg, model_path, mpath, out)
+    cfg, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    report = cmd_eval(cfg, out)
     assert report["i_err_interp"] < 1e-12
     assert report["i_err_extrap"] < 1e-12
     assert report["fvu_interp"] < 1e-10
@@ -441,8 +442,9 @@ def test_scan_cells_match_per_command_runs(tmp_path):
         cell_cfg = replace(cfg, model=replace(cfg.model, beta=beta, V_prime=0.3),
                            simulation=replace(cfg.simulation, seed=seed))
         out = str(tmp_path / f"cell_{beta}")
-        mpath = cmd_gen_data(cell_cfg, out)
-        cmd_eval(cell_cfg, cmd_train(cell_cfg, mpath, out), mpath, out)
+        cmd_gen_data(cell_cfg, out)
+        cmd_train(cell_cfg, out)
+        cmd_eval(cell_cfg, out)
         scan_dir = tmp_path / "scan_run" / "scan" / f"beta={beta:g}_V_prime=0.3"
         files = sorted(os.path.relpath(os.path.join(d, f), out)
                        for d, _, fs in os.walk(out) for f in fs)
@@ -456,19 +458,19 @@ def test_scan_cells_match_per_command_runs(tmp_path):
 
 def test_eval_flags_missing_extrapolation(tmp_path):
     # files stop at T_train, so the extrapolation window cannot be scored
-    cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
-    report = cmd_eval(cfg, model_path, mpath, out)
+    cfg, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
+    report = cmd_eval(cfg, out)
     assert math.isnan(report["i_err_extrap"])
     assert math.isnan(report["fvu_extrap"])
     assert report["i_err_interp"] < 1e-12
 
 
 def test_eval_rejects_dt_mismatch(tmp_path):
-    cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     basis = build_pauli_basis(2)
     save_model(model_path, _stable_two_spin_params(), basis, 0.05)
     with pytest.raises(ConfigError):
-        cmd_eval(cfg, model_path, mpath, out)
+        cmd_eval(cfg, out)
 
 
 def test_scan_grid_and_failure_rows(tmp_path):
@@ -520,8 +522,8 @@ def test_scan_refuses_axis_values_sharing_a_directory(tmp_path, alphas):
 
 
 def test_stationary_report_ok_path(tmp_path):
-    cfg, model_path, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
-    rpath = cmd_stationary(cfg, model_path, out)
+    cfg, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
+    rpath = cmd_stationary(cfg, out)
     report = json.loads(Path(rpath).read_text())
     assert report["epsilon_status"] == "ok"
     assert report["e_gap"] > 0
@@ -535,12 +537,12 @@ def test_stationary_report_ok_path(tmp_path):
 
 
 def test_stationary_report_no_gap(tmp_path):
-    cfg, model_path, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
+    cfg, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
     basis = build_pauli_basis(2)
     pure = GeneratorParams(omega=np.ones(15) * 0.2, X=np.zeros((15, 15)),
                            Y=np.zeros((15, 15)))
     save_model(model_path, pure, basis, cfg.simulation.dt)
-    report = json.loads(Path(cmd_stationary(cfg, model_path, out)).read_text())
+    report = json.loads(Path(cmd_stationary(cfg, out)).read_text())
     assert report["no_gap"] is True
     assert report["epsilon_status"] == "no_gap"
     assert report["epsilon_stationary"] is None
@@ -551,7 +553,7 @@ def test_stationary_report_no_gap(tmp_path):
 def test_eval_simulates_no_window_and_stationary_one(tmp_path, monkeypatch):
     # eval takes every window mean in closed form; stationary simulates
     # only the trajectory stationary_observables.csv prints
-    cfg, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     calls = []
 
     def counting(fn):
@@ -565,9 +567,9 @@ def test_eval_simulates_no_window_and_stationary_one(tmp_path, monkeypatch):
                          (mbs, "evolve_and_reduce")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     assert cfg.metrics.n_initial_conditions == 2
-    cmd_eval(cfg, model_path, mpath, out)
+    cmd_eval(cfg, out)
     assert calls == []
-    cmd_stationary(cfg, model_path, out)
+    cmd_stationary(cfg, out)
     assert calls == ["generate_trajectory", "evolve_and_reduce"]
 
 
@@ -672,7 +674,7 @@ def test_interpret_identifies_planted_structure(tmp_path):
     params = GeneratorParams(omega=om, X=X, Y=np.zeros((15, 15)))
     model_path = os.path.join(out, "models", "model.json")
     save_model(model_path, params, basis, cfg.simulation.dt)
-    report = json.loads(Path(cmd_interpret(cfg, model_path, out)).read_text())
+    report = json.loads(Path(cmd_interpret(cfg, out)).read_text())
     assert report["H_diff_fraction_on_sigma_z_sum"] > 0.99
     assert report["dominant_jump_alignment_sigma_z_sum"] > 0.99
     assert report["H_diff_hs_norm"] == pytest.approx(0.03 * np.sqrt(2), rel=1e-9)
@@ -779,9 +781,8 @@ def test_main_epsilon_does_not_depend_on_window_budget(tmp_path, command):
     # epsilon is averaged on the dt grid at any budget, so budgets of a few
     # steps report the default budget's epsilon bit for bit; the budget
     # bounds only the trajectory stationary prints
-    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    args = ["--out", out, command, "--model", model_path]
-    args += ["--manifest", mpath] if command == "eval" else []
+    _, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    args = ["--out", out, command]
     reported = []
     for budget in (cli.MetricsBlock().max_window_steps, 1, 2, 3):
         cfg_path = _write_config(
@@ -808,12 +809,11 @@ def test_main_refuses_stationary_window_under_two_snapshots(tmp_path, capsys,
                                                             command, budget):
     # a window [a tau, b tau] holding fewer than two snapshots of the dt
     # grid is refused, not 0/0, at any budget
-    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    _, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     cfg_path = _write_config(
         tmp_path, {"metrics": {"max_window_steps": budget, **_NARROW_WINDOW}},
         name="budget.json")
-    args = ["--config", cfg_path, "--out", out, command, "--model", model_path]
-    rc = main(args + (["--manifest", mpath] if command == "eval" else []))
+    rc = main(["--config", cfg_path, "--out", out, command])
     captured = capsys.readouterr()
     assert rc == 1
     assert "Traceback" not in captured.err
@@ -828,11 +828,10 @@ def test_main_refuses_stationary_window_under_two_snapshots(tmp_path, capsys,
 def test_main_refused_eval_writes_no_report_files(tmp_path, capsys):
     # the stationary window is refused after the trajectories are scored;
     # no time series may be left without its report
-    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    _, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     cfg_path = _write_config(tmp_path, {"metrics": _NARROW_WINDOW},
                              name="narrow.json")
-    rc = main(["--config", cfg_path, "--out", out, "eval", "--model", model_path,
-               "--manifest", mpath])
+    rc = main(["--config", cfg_path, "--out", out, "eval"])
     captured = capsys.readouterr()
     assert rc == 1
     lines = captured.err.strip().splitlines()
@@ -848,12 +847,13 @@ def test_main_refused_eval_writes_no_report_files(tmp_path, capsys):
 def test_main_refusal_makes_no_directory(tmp_path, capsys, command, error):
     # train without a manifest, and stationary on a window narrower than
     # dt, fail before their first file; a directory is only made for a file
-    _, model_path, _, _ = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    cfg_path = _write_config(tmp_path, {"metrics": _NARROW_WINDOW},
-                             name="narrow.json")
+    # (the model is read from an absolute paths.model_dir outside --out)
+    _, model_path, _ = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    cfg_path = _write_config(tmp_path, {
+        "metrics": _NARROW_WINDOW,
+        "paths": {"model_dir": os.path.dirname(model_path)}}, name="narrow.json")
     out = tmp_path / "refused"
-    args = ["--config", cfg_path, "--out", str(out), command]
-    rc = main(args + (["--model", model_path] if command == "stationary" else []))
+    rc = main(["--config", cfg_path, "--out", str(out), command])
     captured = capsys.readouterr()
     assert rc == 1
     assert json.loads(captured.err)["error"] == error
@@ -864,13 +864,11 @@ def test_main_refusal_makes_no_directory(tmp_path, capsys, command, error):
 def test_main_refuses_model_of_wrong_dimension(tmp_path, capsys, command):
     # a well-formed one-spin model file, but every command works on the
     # two-spin subsystem: refused before any work, naming the file and d
-    _, model_path, mpath, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    _, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
     one_spin = GeneratorParams(omega=np.full(3, 0.2), X=0.3 * np.eye(3),
                                Y=np.zeros((3, 3)))
     save_model(model_path, one_spin, build_pauli_basis(1), TINY["simulation"]["dt"])
-    args = ["--config", _write_config(tmp_path), "--out", out, command,
-            "--model", model_path]
-    rc = main(args + (["--manifest", mpath] if command == "eval" else []))
+    rc = main(["--config", _write_config(tmp_path), "--out", out, command])
     captured = capsys.readouterr()
     assert rc == 1
     assert "Traceback" not in captured.err
@@ -986,6 +984,83 @@ def test_main_refuses_malformed_manifest(tmp_path, capsys, command, manifest):
     assert json.loads(lines[0])["error"] == "ConfigError"
 
 
+def _assert_one_error_line(capsys, rc, error):
+    """main exited 1 with one JSON error line of type `error`; returns its
+    message."""
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    return err["message"]
+
+
+@pytest.mark.parametrize("other,differ", [
+    ({"model": {"n_sites": 6, "V_prime": 0.7}}, ["model.n_sites", "model.V_prime"]),
+    ({"simulation": {"dt": 0.05}}, ["simulation.dt"]),
+], ids=["chain", "dt"])
+def test_main_refuses_data_of_another_chain(tmp_path, capsys, other, differ):
+    # gen-data on one config, then train and eval in the same --out on a
+    # config of another chain or dt: refused, naming the manifest and the
+    # keys that differ, before any file is written
+    cfg_a = _write_config(tmp_path, name="a.json")
+    cfg_b = _write_config(tmp_path, other, name="b.json")
+    out = tmp_path / "run"
+    manifest = str(out / "data" / "manifest.json")
+    assert main(["--config", cfg_a, "--out", str(out), "gen-data"]) == 0
+    capsys.readouterr()
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_b, "--out", str(out), "train"]),
+        "ConfigError")
+    assert manifest in message and all(key in message for key in differ)
+    assert not (out / "models").exists() and not (out / "reports").exists()
+    assert main(["--config", cfg_a, "--out", str(out), "train"]) == 0
+    capsys.readouterr()
+    written = sorted(out.rglob("*"))
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_b, "--out", str(out), "eval"]),
+        "ConfigError")
+    assert manifest in message and all(key in message for key in differ)
+    assert sorted(out.rglob("*")) == written
+
+
+@pytest.mark.parametrize("key,value", [("n_sites", None), ("n_sites", "four"),
+                                       ("dt", ""), ("seed", "1.5")],
+                         ids=["missing", "not_a_number", "empty", "seed_float"])
+def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, key, value):
+    # a trajectory header line deleted (value None) or given a value that
+    # does not parse is refused naming the file and the key
+    cfg_path = _write_config(tmp_path)
+    out = tmp_path / "run"
+    assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
+    capsys.readouterr()
+    traj = out / "data" / "train_001.csv"
+    lines = [ln for ln in traj.read_text().splitlines()
+             if value is not None or not ln.startswith(f"{key}=")]
+    traj.write_text("\n".join(f"{key}={value}" if ln.startswith(f"{key}=") else ln
+                              for ln in lines) + "\n")
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_path, "--out", str(out), "train"]),
+        "ValueError")
+    assert str(traj) in message and f"{key}=" in message
+    assert not (out / "models").exists()
+
+
+@pytest.mark.parametrize("command,where", [("train", ("data", "manifest.json")),
+                                           ("stationary", ("models", "model.json"))])
+def test_main_names_file_in_json_parse_errors(tmp_path, capsys, command, where):
+    out = tmp_path / "run"
+    path = out.joinpath(*where)
+    path.parent.mkdir(parents=True)
+    path.write_text("{")
+    rc = main(["--config", _write_config(tmp_path), "--out", str(out), command])
+    error = "ConfigError" if command == "train" else "ValueError"
+    message = _assert_one_error_line(capsys, rc, error)
+    assert str(path) in message and "not valid JSON" in message
+
+
 # edits of a valid model file that leave no model in it
 _MODEL_EDITS = {
     "list": lambda p: [p],
@@ -1008,15 +1083,14 @@ _MODEL_EDITS = {
 def test_main_refuses_malformed_model(tmp_path, capsys, command, edit):
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "run"
-    model_path = str(tmp_path / "model.json")
+    model_path = str(out / "models" / "model.json")
     save_model(model_path, _stable_two_spin_params(), build_pauli_basis(2),
                TINY["simulation"]["dt"])
     with open(model_path) as fh:
         payload = _MODEL_EDITS[edit](json.load(fh))
     with open(model_path, "w") as fh:
         json.dump(payload, fh)
-    rc = main(["--config", cfg_path, "--out", str(out), command,
-               "--model", model_path])
+    rc = main(["--config", cfg_path, "--out", str(out), command])
     captured = capsys.readouterr()
     assert rc == 1
     assert "Traceback" not in captured.err
@@ -1083,7 +1157,7 @@ _SETTABLE = {
     "metrics": {"a", "b", "n_initial_conditions", "max_window_steps"},
     "paths": {"data_dir", "model_dir", "report_dir"},
 }
-_FLAGS = {"--config", "--out", "--threads", "--manifest", "--model"}
+_FLAGS = {"--config", "--out", "--threads"}
 
 
 def test_settable_values_are_pinned(tmp_path):
@@ -1107,4 +1181,21 @@ def test_settable_values_are_pinned(tmp_path):
         parsers += [p for a in actions if isinstance(a, argparse._SubParsersAction)
                     for p in a.choices.values()]
     assert flags - {"-h", "--help"} == _FLAGS
-    assert sum(map(len, _SETTABLE.values())) + len(_FLAGS) == 36
+    assert sum(map(len, _SETTABLE.values())) + len(_FLAGS) == 34
+
+
+def test_readme_lists_the_pinned_settable_values():
+    # the README's keys table and flag sentence name the pinned set
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("| block | keys |")
+    rows = readme[start:readme.index("\n\n", start)].splitlines()[2:]
+    table = {}
+    for row in rows:
+        block, keys = (re.findall(r"`(\w+)`", cell) for cell in row.split("|")[1:3])
+        table[block[0]] = set(keys)
+    assert table == _SETTABLE
+    paragraph, = [p for p in map(" ".join, map(str.split, readme.split("\n\n")))
+                  if "settable values" in p]
+    assert set(re.findall(r"`(--[a-z-]+)`", paragraph)) == _FLAGS
+    count = sum(map(len, _SETTABLE.values())) + len(_FLAGS)
+    assert re.findall(r"(\d+) settable values", paragraph) == [str(count)]
