@@ -35,8 +35,8 @@ from .lindblad_generator import (assemble_generator, propagate_trajectory,
 from .trainer import TrainConfig, build_dataset, train, save_loss_curves
 from .many_body_sim import (SpinChainModel, generate_trajectory,
                             save_trajectory, load_trajectory, CapacityError,
-                            DEFAULT_MAX_SITES, restricted_hamiltonian,
-                            window_means, _check_capacity)
+                            restricted_hamiltonian, window_means,
+                            _check_capacity)
 from .metrics import (i_err, fvu, stationary_distance, stationary_window,
                       time_window)
 from .files import read_json, write_csv, write_json
@@ -54,7 +54,6 @@ class SimulationBlock:
     n_trajectories: int = 50
     n_eval_trajectories: int = 10
     seed: int = 1234
-    max_sites: int = DEFAULT_MAX_SITES
 
 
 @dataclass
@@ -172,7 +171,7 @@ def load_config(path):
     if not 0 <= cfg.metrics.a < cfg.metrics.b:
         raise ConfigError(f"metrics need 0 <= a < b, got a={cfg.metrics.a!r}, "
                           f"b={cfg.metrics.b!r}")
-    _check_capacity(cfg.model, sim.max_sites)
+    _check_capacity(cfg.model)
     return cfg
 
 
@@ -226,7 +225,7 @@ def _gen_data(cfg, out, threads=1, keep=False):
              for role, count, _ in roles}
     jobs = [(cfg.model, sim.dt, int(round(T / sim.dt)),
              derive_seed(sim.seed, role, i),
-             os.path.join(dirs["data"], name), sim.max_sites, keep)
+             os.path.join(dirs["data"], name), keep)
             for role, _, T in roles for i, name in enumerate(files[role])]
     trajectories = _map(_gen_worker, jobs, threads)
     write_json(dirs["manifest"], {"model": asdict(cfg.model),
@@ -239,10 +238,31 @@ def _gen_data(cfg, out, threads=1, keep=False):
 def _gen_worker(job):
     """Write one trajectory file; return the trajectory only if the job
     keeps it, so pool workers send nothing back."""
-    model, dt, n_steps, seed, path, max_sites, keep = job
-    traj = generate_trajectory(model, dt, n_steps, seed, max_sites=max_sites)
+    model, dt, n_steps, seed, path, keep = job
+    traj = generate_trajectory(model, dt, n_steps, seed)
     save_trajectory(path, traj)
     return traj if keep else None
+
+
+def _chain(model, dt):
+    """A file's chain block, as JSON holds it: at a manifest's top level,
+    and as a model file's extra "chain" key."""
+    return json.loads(json.dumps({"model": asdict(model),
+                                  "simulation": {"dt": dt}}))
+
+
+def _check_chain(cfg, path, have):
+    """Refuse the file at `path` unless `have`, the chain block it
+    records, is the config's chain and dt."""
+    differ = []
+    for block, values in _chain(cfg.model, cfg.simulation.dt).items():
+        got = have.get(block)
+        got = got if isinstance(got, dict) else {}
+        differ += [f"{block}.{key}" for key, value in values.items()
+                   if got.get(key) != value]
+    if differ:
+        raise ConfigError(f"{path} holds data of another chain: "
+                          f"{', '.join(differ)} differ from the config")
 
 
 def _load_manifest(cfg, path):
@@ -255,19 +275,19 @@ def _load_manifest(cfg, path):
                 and all(isinstance(name, str) for name in names)):
             raise ConfigError(f"{path}: {key} must be a list of "
                               f"file names, got {names!r}")
-    # the config's values as gen-data writes them (tuples as JSON lists)
-    want = json.loads(json.dumps({"model": asdict(cfg.model),
-                                  "simulation": {"dt": cfg.simulation.dt}}))
-    differ = []
-    for block, values in want.items():
-        have = manifest.get(block)
-        have = have if isinstance(have, dict) else {}
-        differ += [f"{block}.{key}" for key, value in values.items()
-                   if have.get(key) != value]
-    if differ:
-        raise ConfigError(f"{path} holds data of another chain: "
-                          f"{', '.join(differ)} differ from the config")
+    _check_chain(cfg, path, manifest)
     return manifest
+
+
+def _load_data(cfg, dirs, names):
+    """The trajectory files `names` of the data directory, each refused
+    unless its header holds the config's chain and dt, as the manifest
+    does."""
+    paths = [os.path.join(dirs["data"], name) for name in names]
+    trajs = [load_trajectory(path) for path in paths]
+    for path, traj in zip(paths, trajs):
+        _check_chain(cfg, path, _chain(traj.model, traj.dt))
+    return trajs
 
 
 def _cellwise(fn, *columns):
@@ -293,8 +313,7 @@ def cmd_train(cfg, out):
     """Fit a generator on the manifest's training files, t <= T_train."""
     dirs = _dirs(cfg, out)
     manifest = _load_manifest(cfg, dirs["manifest"])
-    trajs = [load_trajectory(os.path.join(dirs["data"], name))
-             for name in manifest["train_files"]]
+    trajs = _load_data(cfg, dirs, manifest["train_files"])
     fit = _fit(cfg.training, [(cfg, dirs, trajs)])[0]
     if isinstance(fit, Exception):
         raise fit
@@ -330,7 +349,8 @@ def _save_fit(cell, result):
     cfg, dirs = cell[:2]
     val = result.val_history[-1]
     save_model(dirs["model"], result.params, build_pauli_basis(2), cfg.simulation.dt,
-               extra={"final_train_loss": result.train_history[-1],
+               extra={"chain": _chain(cfg.model, cfg.simulation.dt),
+                      "final_train_loss": result.train_history[-1],
                       # nan without a validation set; JSON holds no nan
                       "final_val_loss": None if math.isnan(val) else val})
     save_loss_curves(os.path.join(dirs["report"], "loss_curves.csv"),
@@ -374,8 +394,7 @@ def _epsilon_pipeline(cfg, L):
     k_lo, k_hi = stationary_window(dt, math.ceil(met.b * info.tau / dt),
                                    info.tau, met.a, met.b)
     seeds = [_stationary_seed(cfg, k) for k in range(met.n_initial_conditions)]
-    means = window_means(cfg.model, dt, k_lo, k_hi, seeds,
-                         max_sites=cfg.simulation.max_sites)
+    means = window_means(cfg.model, dt, k_lo, k_hi, seeds)
     return stationary_distance(means, info.v_st), "ok", info
 
 
@@ -386,23 +405,26 @@ def cmd_eval(cfg, out):
     if not manifest["eval_files"]:
         raise ConfigError(f"{dirs['manifest']} lists no eval trajectories; "
                           "set simulation.n_eval_trajectories >= 1")
-    params, basis, model_dt = _load_two_spin_model(dirs["model"])
-    if abs(model_dt - cfg.simulation.dt) > 1e-12:
-        raise ConfigError(f"model dt={model_dt} differs from config "
-                          f"dt={cfg.simulation.dt}")
-    exact = [load_trajectory(os.path.join(dirs["data"], name))
-             for name in manifest["eval_files"]]
+    params, basis = _load_two_spin_model(cfg, dirs["model"])
+    exact = _load_data(cfg, dirs, manifest["eval_files"])
     return _evaluate(cfg, assemble_generator(params, basis), exact, dirs)
 
 
-def _load_two_spin_model(path):
+def _load_two_spin_model(cfg, path):
     """load_model for the commands, which take two-spin (d = 4) generators
-    only: (params, basis, dt); any other d is refused before any work."""
-    params, basis, dt, _ = load_model(path)
+    of the config's chain and dt only: (params, basis); any other d or
+    chain is refused before any work, as is a file without its chain
+    block."""
+    params, basis, _, payload = load_model(path)
     if basis.d != 4:
         raise ConfigError(f"{path}: model has d={basis.d}, the two-spin "
                           "subsystem needs d=4")
-    return params, basis, dt
+    extra = payload.get("extra")
+    chain = extra.get("chain") if isinstance(extra, dict) else None
+    if not isinstance(chain, dict):
+        raise ConfigError(f"{path} records no chain; re-run train")
+    _check_chain(cfg, path, chain)
+    return params, basis
 
 
 # eval_report.csv's error columns, which also lead each scan row
@@ -569,12 +591,11 @@ def cmd_stationary(cfg, out):
     takes it.
     """
     dirs = _dirs(cfg, out)
-    params, basis, _ = _load_two_spin_model(dirs["model"])
+    params, basis = _load_two_spin_model(cfg, dirs["model"])
     L = assemble_generator(params, basis)
     eps, status, info = _epsilon_pipeline(cfg, L)
     exact = None if status != "ok" else generate_trajectory(
-        cfg.model, *_window_grid(cfg, info.tau), _stationary_seed(cfg, 0),
-        max_sites=cfg.simulation.max_sites)
+        cfg.model, *_window_grid(cfg, info.tau), _stationary_seed(cfg, 0))
     report = {
         "e_gap": info.e_gap,
         "tau_over_omega_inv": info.tau,
@@ -631,7 +652,7 @@ def reference_two_spin_hamiltonian(model):
 def cmd_interpret(cfg, out):
     """Emit learned Hamiltonian/Kossakowski data and the jump decomposition."""
     dirs = _dirs(cfg, out)
-    params, basis, _ = _load_two_spin_model(dirs["model"])
+    params, basis = _load_two_spin_model(cfg, dirs["model"])
     H_learned = extract_hamiltonian(params, basis)
     H_ref = reference_two_spin_hamiltonian(cfg.model)
     diff = H_learned - H_ref

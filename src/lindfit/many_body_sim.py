@@ -27,10 +27,13 @@ from .files import write_csv
 from .spin_algebra import (build_pauli_basis, ginibre_density_matrix,
                            rho_to_coherence)
 
-DEFAULT_MAX_SITES = 12
+# the largest chain simulated: at 12 sites the eigenvectors U and their
+# subsystem split R take 128 MB each, and each further site quadruples them
+MAX_SITES = 12
+
 
 class CapacityError(RuntimeError):
-    """A requested chain is larger than the configured size cap."""
+    """A requested chain has more than MAX_SITES sites."""
 
 
 @dataclass(frozen=True)
@@ -148,14 +151,6 @@ def bath_thermal_state(model):
     return rho.astype(complex)
 
 
-def random_initial_subsystem_state(rng):
-    """Ginibre-random 4x4 density matrix for the two-spin subsystem."""
-    while True:
-        rho = ginibre_density_matrix(4, rng)
-        if np.isfinite(rho).all():
-            return rho
-
-
 @dataclass
 class Trajectory:
     """Reduced-subsystem snapshots on the uniform grid t = 0, dt, ..., n*dt."""
@@ -181,7 +176,9 @@ _PHASE_CHUNK_ELEMS = 500_000
 def _chain_eigensystem(model):
     """(eigenvalues, subsystem-resolved eigenvectors, real bath state),
     kept for the last chain asked for only: a 12-site chain's takes about
-    140 MB, and a small chain is rebuilt in milliseconds."""
+    140 MB, and a small chain is rebuilt in milliseconds.  A chain above
+    MAX_SITES is refused with CapacityError before any matrix is built."""
+    _check_capacity(model)
     n = model.n_sites
     w, U = np.linalg.eigh(model_hamiltonian(model))
     sa, sb = model.subsystem_sites
@@ -191,23 +188,22 @@ def _chain_eigensystem(model):
     return w, R, np.ascontiguousarray(bath_thermal_state(model).real)
 
 
-def _check_capacity(model, max_sites):
-    if model.n_sites > max_sites:
+def _check_capacity(model):
+    if model.n_sites > MAX_SITES:
         raise CapacityError(
-            f"n_sites={model.n_sites} exceeds the configured maximum "
-            f"{max_sites}; a 2^{model.n_sites} dense eigenproblem was refused")
+            f"n_sites={model.n_sites} exceeds the maximum {MAX_SITES}; "
+            f"a 2^{model.n_sites} dense eigenproblem was refused")
 
 
-def _initial_state(model, rho_s0, max_sites):
+def _initial_state(model, rho_s0):
     """The chain's cached eigensystem (w, R) and rt0, the state
-    rho_s0 (x) rho_B in its eigenbasis; refuses chains above max_sites and
-    a rho_s0 that is not a Hermitian 4x4 matrix.
+    rho_s0 (x) rho_B in its eigenbasis; refuses a rho_s0 that is not a
+    Hermitian 4x4 matrix.
 
     With H = U diag(w) U^T and U split into the four subsystem row blocks
     R_a (m/4 x m, real), rt0 = sum_ab rho_s0[a,b] R_a^T rho_B R_b, built
     from real matrix products.
     """
-    _check_capacity(model, max_sites)
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     if rho_s0.shape != (4, 4):
         raise ValueError(f"rho_s0 must be 4x4, got {rho_s0.shape}")
@@ -225,8 +221,7 @@ def _initial_state(model, rho_s0, max_sites):
     return w, R, rt0
 
 
-def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
-                      max_sites=DEFAULT_MAX_SITES):
+def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None):
     """Evolve rho_s0 (x) rho_B under the chain Hamiltonian; return the
     subsystem Trajectory with n_steps+1 snapshots including t=0.
 
@@ -246,7 +241,7 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    w, R, rt0 = _initial_state(model, rho_s0, max_sites)
+    w, R, rt0 = _initial_state(model, rho_s0)
     m = w.size
 
     n_snap = n_steps + 1
@@ -274,14 +269,14 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None,
 
 
 def _seeded_initial_state(seed):
-    return random_initial_subsystem_state(np.random.default_rng(seed))
+    """The Ginibre-random 4x4 subsystem state of a seed."""
+    return ginibre_density_matrix(4, np.random.default_rng(seed))
 
 
-def generate_trajectory(model, dt, n_steps, seed,
-                        max_sites=DEFAULT_MAX_SITES):
+def generate_trajectory(model, dt, n_steps, seed):
     """Random-initial-state trajectory with a deterministic seed."""
     return evolve_and_reduce(model, _seeded_initial_state(seed), dt, n_steps,
-                             seed=seed, max_sites=max_sites)
+                             seed=seed)
 
 
 def _trapezoid_kernel(w, dt, k_lo, k_hi):
@@ -306,7 +301,7 @@ def _trapezoid_kernel(w, dt, k_lo, k_hi):
     return K * np.exp(-1j * (2 * k_lo + n) * half)
 
 
-def window_means(model, dt, k_lo, k_hi, seeds, max_sites=DEFAULT_MAX_SITES):
+def window_means(model, dt, k_lo, k_hi, seeds):
     """Trapezoid mean over steps k_lo..k_hi of each trajectory
     generate_trajectory(model, dt, k_hi, seed) would give, in closed form:
     one coherence vector per seed, without a snapshot simulated.
@@ -324,13 +319,12 @@ def window_means(model, dt, k_lo, k_hi, seeds, max_sites=DEFAULT_MAX_SITES):
         raise ValueError("dt must be positive")
     if not 0 <= k_lo < k_hi:
         raise ValueError(f"need 0 <= k_lo < k_hi, got {k_lo}, {k_hi}")
-    _check_capacity(model, max_sites)
     w, R, _ = _chain_eigensystem(model)
     K = _trapezoid_kernel(w, dt, k_lo, k_hi)
     U, Rt = R.reshape(w.size, w.size), R.reshape(4, -1).T
     out = np.empty((len(seeds), 4, 4), dtype=complex)
     for i, seed in enumerate(seeds):
-        _, _, G = _initial_state(model, _seeded_initial_state(seed), max_sites)
+        _, _, G = _initial_state(model, _seeded_initial_state(seed))
         G *= K
         out[i].real = (U @ G.real).reshape(4, -1) @ Rt
         out[i].imag = (U @ G.imag).reshape(4, -1) @ Rt
@@ -360,8 +354,8 @@ def save_trajectory(path, traj):
 
 def load_trajectory(path):
     """Read a save_trajectory file; one without its snapshot table, of another
-    basis convention, or with a header key missing or unparsed is refused
-    with ValueError naming the file."""
+    basis convention, with a header key missing or unparsed, or of a chain
+    SpinChainModel refuses is refused with ValueError naming the file."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = {}
@@ -386,9 +380,12 @@ def load_trajectory(path):
             raise ValueError(f"{path}: header {key}= must hold a "
                              f"{kind.__name__}, got {meta.get(key)!r}") from None
 
-    model = SpinChainModel(
-        variant=header("variant", str), n_sites=header("n_sites", int),
-        **{k: header(k) for k in ("omega", "V", "V_prime", "alpha", "beta")})
+    chain = {k: header(k) for k in ("omega", "V", "V_prime", "alpha", "beta")}
+    chain.update(variant=header("variant", str), n_sites=header("n_sites", int))
+    try:
+        model = SpinChainModel(**chain)
+    except ValueError as exc:  # a chain SpinChainModel refuses
+        raise ValueError(f"{path}: {exc}") from None
     n_steps = header("n_steps", int)
     rows = [ln for ln in lines[body:] if ln]
     if len(rows) != n_steps + 1:

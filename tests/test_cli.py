@@ -6,9 +6,10 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -78,6 +79,12 @@ def _stable_two_spin_params():
     om = 0.3 * rng.standard_normal(15)
     X = np.diag(0.4 + 0.2 * rng.random(15))
     return GeneratorParams(omega=om, X=X, Y=np.zeros((15, 15)))
+
+
+def _save_fit_model(path, params, cfg):
+    """save_model as train writes it, with the chain block of `cfg`."""
+    save_model(path, params, build_pauli_basis(2), cfg.simulation.dt,
+               extra={"chain": cli._chain(cfg.model, cfg.simulation.dt)})
 
 
 def test_load_config_defaults(tmp_path):
@@ -241,7 +248,7 @@ def _synthetic_eval_setup(tmp_path, n_eval_steps):
     params = _stable_two_spin_params()
     L = assemble_generator(params, basis)
     model_path = os.path.join(out, "models", "model.json")
-    save_model(model_path, params, basis, cfg.simulation.dt)
+    _save_fit_model(model_path, params, cfg)
     rng = np.random.default_rng(88)
     names = []
     for i in range(2):
@@ -467,9 +474,9 @@ def test_eval_flags_missing_extrapolation(tmp_path):
 
 def test_eval_rejects_dt_mismatch(tmp_path):
     cfg, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
-    basis = build_pauli_basis(2)
-    save_model(model_path, _stable_two_spin_params(), basis, 0.05)
-    with pytest.raises(ConfigError):
+    _save_fit_model(model_path, _stable_two_spin_params(),
+                    replace(cfg, simulation=replace(cfg.simulation, dt=0.05)))
+    with pytest.raises(ConfigError, match="simulation.dt differ"):
         cmd_eval(cfg, out)
 
 
@@ -538,10 +545,9 @@ def test_stationary_report_ok_path(tmp_path):
 
 def test_stationary_report_no_gap(tmp_path):
     cfg, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
-    basis = build_pauli_basis(2)
     pure = GeneratorParams(omega=np.ones(15) * 0.2, X=np.zeros((15, 15)),
                            Y=np.zeros((15, 15)))
-    save_model(model_path, pure, basis, cfg.simulation.dt)
+    _save_fit_model(model_path, pure, cfg)
     report = json.loads(Path(cmd_stationary(cfg, out)).read_text())
     assert report["no_gap"] is True
     assert report["epsilon_status"] == "no_gap"
@@ -673,7 +679,7 @@ def test_interpret_identifies_planted_structure(tmp_path):
     X[1, 1] = 0.01
     params = GeneratorParams(omega=om, X=X, Y=np.zeros((15, 15)))
     model_path = os.path.join(out, "models", "model.json")
-    save_model(model_path, params, basis, cfg.simulation.dt)
+    _save_fit_model(model_path, params, cfg)
     report = json.loads(Path(cmd_interpret(cfg, out)).read_text())
     assert report["H_diff_fraction_on_sigma_z_sum"] > 0.99
     assert report["dominant_jump_alignment_sigma_z_sum"] > 0.99
@@ -896,7 +902,7 @@ def _stub_stationary_state(monkeypatch, tau):
 def _record_window_means(monkeypatch):
     windows = []
     monkeypatch.setattr(cli, "window_means",
-                        lambda model, dt, k_lo, k_hi, seeds, max_sites:
+                        lambda model, dt, k_lo, k_hi, seeds:
                         windows.append((dt, k_lo, k_hi)))
     monkeypatch.setattr(cli, "stationary_distance", lambda *args: 0.0)
     return windows
@@ -947,7 +953,7 @@ def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
 @pytest.mark.parametrize("overrides", [
     {"simulation": {"dt": "0.1"}},
     {"simulation": {"n_trajectories": 2.5}},
-    {"simulation": {"max_sites": "12"}},
+    {"simulation": {"n_eval_trajectories": "2"}},
     {"simulation": {"seed": True}},
     {"metrics": {"a": "5"}},
     {"metrics": {"b": float("inf")}},
@@ -956,7 +962,7 @@ def test_window_fits_budget_and_covers_b_tau(tmp_path, monkeypatch):
     {"training": {"epochs": 2.0}},
     {"model": {"omega": "1"}},
     {"model": {"n_sites": 4.0}},
-], ids=["dt_str", "n_trajectories_float", "max_sites_str", "seed_bool",
+], ids=["dt_str", "n_trajectories_float", "n_eval_trajectories_str", "seed_bool",
         "a_str", "b_inf", "learning_rate_str", "init_scale_nan", "epochs_float",
         "omega_str", "n_sites_float"])
 def test_main_refuses_mistyped_numbers(tmp_path, capsys, overrides):
@@ -1026,12 +1032,16 @@ def test_main_refuses_data_of_another_chain(tmp_path, capsys, other, differ):
     assert sorted(out.rglob("*")) == written
 
 
-@pytest.mark.parametrize("key,value", [("n_sites", None), ("n_sites", "four"),
-                                       ("dt", ""), ("seed", "1.5")],
-                         ids=["missing", "not_a_number", "empty", "seed_float"])
-def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key,value,named", [
+    ("n_sites", None, "n_sites="), ("n_sites", "four", "n_sites="),
+    ("dt", "", "dt="), ("seed", "1.5", "seed="),
+    ("variant", "III", "unknown variant 'III'"),
+], ids=["missing", "not_a_number", "empty", "seed_float", "variant_unknown"])
+def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, key,
+                                                     value, named):
     # a trajectory header line deleted (value None) or given a value that
-    # does not parse is refused naming the file and the key
+    # does not parse, or that no chain takes, is refused naming the file
+    # and the key or the value
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
@@ -1044,8 +1054,68 @@ def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, key, valu
     message = _assert_one_error_line(
         capsys, main(["--config", cfg_path, "--out", str(out), "train"]),
         "ValueError")
-    assert str(traj) in message and f"{key}=" in message
+    assert str(traj) in message and named in message
     assert not (out / "models").exists()
+
+
+_OTHER_CHAIN = {"model": {"n_sites": 6, "V_prime": 0.7}}
+
+
+def test_main_refuses_trajectory_of_another_chain(tmp_path, capsys):
+    # trajectories of a 6-site chain copied over files of a 4-site run:
+    # train and eval refuse them, naming the file and the keys that
+    # differ, before any file is written
+    cfg_a = _write_config(tmp_path, name="a.json")
+    cfg_b = _write_config(tmp_path, _OTHER_CHAIN, name="b.json")
+    out, other = tmp_path / "run", tmp_path / "other"
+    for cfg_path, where in ((cfg_a, out), (cfg_b, other)):
+        assert main(["--config", cfg_path, "--out", str(where), "gen-data"]) == 0
+    for name, command in (("eval_001.csv", "eval"), ("train_001.csv", "train")):
+        (out / "data" / name).write_bytes((other / "data" / name).read_bytes())
+        if command == "eval":
+            assert main(["--config", cfg_a, "--out", str(out), "train"]) == 0
+        capsys.readouterr()
+        written = sorted(out.rglob("*"))
+        message = _assert_one_error_line(
+            capsys, main(["--config", cfg_a, "--out", str(out), command]),
+            "ConfigError")
+        assert str(out / "data" / name) in message, command
+        assert "model.n_sites" in message and "model.V_prime" in message
+        assert sorted(out.rglob("*")) == written, command
+
+
+@pytest.mark.parametrize("command", ["stationary", "interpret"])
+def test_main_refuses_model_of_another_chain(tmp_path, capsys, command):
+    # gen-data and train on a 4-site chain, then a command on a 6-site
+    # config in the same --out: refused, naming model.json and the keys
+    # that differ, and no report written
+    cfg_a = _write_config(tmp_path, name="a.json")
+    cfg_b = _write_config(tmp_path, _OTHER_CHAIN, name="b.json")
+    out = tmp_path / "run"
+    for step in ("gen-data", "train"):
+        assert main(["--config", cfg_a, "--out", str(out), step]) == 0
+    capsys.readouterr()
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_b, "--out", str(out), command]),
+        "ConfigError")
+    assert str(out / "models" / "model.json") in message
+    assert "model.n_sites" in message and "model.V_prime" in message
+    assert not (out / "reports" / f"{command}_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])
+def test_main_refuses_model_without_its_chain(tmp_path, capsys, command):
+    # a model file that does not record its chain cannot be checked
+    # against the config: refused, asking for train to be run again
+    _, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    save_model(model_path, _stable_two_spin_params(), build_pauli_basis(2),
+               TINY["simulation"]["dt"], extra={"final_train_loss": 0.1})
+    message = _assert_one_error_line(
+        capsys, main(["--config", _write_config(tmp_path), "--out", out,
+                      command]),
+        "ConfigError")
+    assert model_path in message and "re-run train" in message
+    assert not os.path.exists(os.path.join(out, "reports"))
 
 
 @pytest.mark.parametrize("command,where", [("train", ("data", "manifest.json")),
@@ -1150,7 +1220,7 @@ def test_main_refuses_fixed_values(tmp_path, capsys, overrides):
 _SETTABLE = {
     "model": {"variant", "n_sites", "omega", "V", "V_prime", "alpha", "beta"},
     "simulation": {"dt", "T_train", "T_extrapolate", "n_trajectories",
-                   "n_eval_trajectories", "seed", "max_sites"},
+                   "n_eval_trajectories", "seed"},
     "training": {"learning_rate", "epochs", "batch_size", "batches_per_epoch",
                  "init_scale", "seed"},
     "scan": {"axis1_name", "axis1_values", "axis2_name", "axis2_values"},
@@ -1161,8 +1231,13 @@ _FLAGS = {"--config", "--out", "--threads"}
 
 
 def test_settable_values_are_pinned(tmp_path):
-    # the config reader takes exactly the pinned keys of each block: a
-    # config of them loads, and every other field of a block is refused
+    # the config reader takes exactly the pinned keys of each block: each
+    # block's fields are the pinned ones, a config of them loads, and
+    # every other field of a block is refused
+    blocks = get_type_hints(cli.ExperimentConfig)
+    assert set(blocks) == set(_SETTABLE)
+    for name, cls in blocks.items():
+        assert {f.name for f in fields(cls) if f.init} == _SETTABLE[name], name
     cfg = load_config(_write_config(tmp_path))
     every = json.loads(json.dumps(asdict(cfg)))
     assert set(every) == set(_SETTABLE)
@@ -1181,7 +1256,7 @@ def test_settable_values_are_pinned(tmp_path):
         parsers += [p for a in actions if isinstance(a, argparse._SubParsersAction)
                     for p in a.choices.values()]
     assert flags - {"-h", "--help"} == _FLAGS
-    assert sum(map(len, _SETTABLE.values())) + len(_FLAGS) == 34
+    assert sum(map(len, _SETTABLE.values())) + len(_FLAGS) == 33
 
 
 def test_readme_lists_the_pinned_settable_values():

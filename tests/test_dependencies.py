@@ -4,6 +4,7 @@ the rest are for the tests.  It keeps to the numpy it declares
 
 import ast
 import os
+import subprocess
 import sys
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -96,11 +97,9 @@ def _outside_uses(tree):
 
 
 def test_package_has_no_unused_imports_or_private_names():
-    """In each module but __init__ (which re-exports), every module-level
-    import is read in that module, and every private top-level name is
-    read somewhere in the package."""
+    """In each module, every module-level import is read in that module,
+    and every private top-level name is read somewhere in the package."""
     trees = dict(_trees())
-    trees.pop("__init__.py")
     in_package = set()
     for tree in trees.values():
         in_package |= _reads(tree) | set(_outside_uses(tree))
@@ -135,3 +134,14 @@ def test_only_files_writes_files():
         if name != "files.py":
             writes = list(_file_writes(tree))
             assert not writes, f"{name} writes files itself: {writes}"
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    """`import lindfit` binds only the version; each user imports the
+    modules it needs by name."""
+    code = ("import sys, lindfit; print(lindfit.__file__); "
+            "print(sorted(m for m in sys.modules if m.startswith('lindfit.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == [os.path.join(PACKAGE, "__init__.py"), "[]"]

@@ -20,7 +20,6 @@ from lindfit.many_body_sim import (
     generate_trajectory,
     load_trajectory,
     model_hamiltonian,
-    random_initial_subsystem_state,
     save_trajectory,
 )
 from lindfit.spin_algebra import build_pauli_basis, ginibre_density_matrix, rho_to_coherence
@@ -160,13 +159,13 @@ def test_bath_thermal_state_limits():
 
 
 def test_random_initial_subsystem_state():
-    rng = np.random.default_rng(55)
-    rho = random_initial_subsystem_state(rng)
+    # a seed's initial state is a 4x4 density matrix, the same every time
+    rho = mbs._seeded_initial_state(55)
     assert rho.shape == (4, 4)
     assert abs(np.trace(rho) - 1) < 1e-13
     assert np.linalg.eigvalsh(rho).min() > -1e-14
-    again = random_initial_subsystem_state(np.random.default_rng(55))
-    np.testing.assert_array_equal(rho, again)
+    np.testing.assert_array_equal(rho, mbs._seeded_initial_state(55))
+    assert np.abs(rho - mbs._seeded_initial_state(56)).max() > 1e-3
 
 
 def test_partial_trace_product_state(rng):
@@ -333,9 +332,8 @@ def test_capacity_guard():
     big = SpinChainModel("I", 13, 1.0, 1.0)
     with pytest.raises(CapacityError):
         evolve_and_reduce(big, np.eye(4) / 4, 0.1, 1)
-    # raising the limit is an explicit opt-in; don't actually run 2^13 here
     with pytest.raises(CapacityError):
-        generate_trajectory(big, 0.1, 1, seed=0, max_sites=12)
+        generate_trajectory(big, 0.1, 1, seed=0)
 
 
 def test_generate_trajectory_deterministic():
