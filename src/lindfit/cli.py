@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, asdict, field, fields, \
     is_dataclass, replace
 from typing import get_type_hints
@@ -192,6 +191,21 @@ def _dirs(cfg, out):
             "report": os.path.join(out, p.report_dir)}
 
 
+def __getattr__(name):
+    """The module attribute ProcessPoolExecutor, imported on first use.
+
+    Only gen-data and scan start a pool, and importing it (with
+    multiprocessing) would cost every command's start-up.  Tests and the
+    benchmark's tracer may set the attribute before a pool starts, so _map
+    reads it through the module.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _map(fn, jobs, threads):
     """[fn(job) for job in jobs], on up to `threads` worker processes.
 
@@ -200,7 +214,8 @@ def _map(fn, jobs, threads):
     """
     workers = min(threads, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(job) for job in jobs]
 
@@ -412,10 +427,10 @@ def cmd_eval(cfg, out):
 
 def _load_two_spin_model(cfg, path):
     """load_model for the commands, which take two-spin (d = 4) generators
-    of the config's chain and dt only: (params, basis); any other d or
-    chain is refused before any work, as is a file without its chain
-    block."""
-    params, basis, _, payload = load_model(path)
+    of the config's chain and dt only: (params, basis); any other d, chain
+    or dt (the file records dt in its chain block and at its top level) is
+    refused before any work, as is a file without its chain block."""
+    params, basis, dt, payload = load_model(path)
     if basis.d != 4:
         raise ConfigError(f"{path}: model has d={basis.d}, the two-spin "
                           "subsystem needs d=4")
@@ -424,6 +439,9 @@ def _load_two_spin_model(cfg, path):
     if not isinstance(chain, dict):
         raise ConfigError(f"{path} records no chain; re-run train")
     _check_chain(cfg, path, chain)
+    if dt != cfg.simulation.dt:
+        raise ConfigError(f"{path}: model has dt={dt!r}, the config's "
+                          f"simulation.dt is {cfg.simulation.dt!r}")
     return params, basis
 
 
@@ -715,6 +733,8 @@ def main(argv=None):
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         out = args.out
+        if os.path.exists(out) and not os.path.isdir(out):
+            raise ConfigError(f"--out {out} exists and is not a directory")
         if args.command == "gen-data":
             print(f"manifest: {cmd_gen_data(cfg, out, threads=args.threads)}")
         elif args.command == "train":
@@ -730,12 +750,24 @@ def main(argv=None):
         elif args.command == "interpret":
             print(f"interpret report: {cmd_interpret(cfg, out)}")
         return 0
-    except (ConfigError, ValueError, KeyError, FileNotFoundError,
-            CapacityError, RuntimeError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, CapacityError,
+            RuntimeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1
 
 
+def console_entry():
+    """The `lindfit` command: main() on sys.argv, then end the process with
+    its exit code and no interpreter teardown, which would only garbage-
+    collect numpy's import-time heap.  By then every output file is closed
+    and in place and every pool worker joined; an exception that escapes
+    main() exits the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

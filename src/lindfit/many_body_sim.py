@@ -352,10 +352,19 @@ def save_trajectory(path, traj):
                            enumerate(traj.snapshots.tolist())], head=head)
 
 
+def _is_row(text, width):
+    """Whether the line `text` is one snapshot row of `width` numbers."""
+    try:
+        return np.loadtxt([text], delimiter=",", ndmin=2).shape == (1, width)
+    except ValueError:
+        return False
+
+
 def load_trajectory(path):
     """Read a save_trajectory file; one without its snapshot table, of another
-    basis convention, with a header key missing or unparsed, or of a chain
-    SpinChainModel refuses is refused with ValueError naming the file."""
+    basis convention, with a header key missing or unparsed, of a chain
+    SpinChainModel refuses, or with a row that is not one number per column
+    is refused with ValueError naming the file (and the line of a bad row)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = {}
@@ -390,8 +399,18 @@ def load_trajectory(path):
     rows = [ln for ln in lines[body:] if ln]
     if len(rows) != n_steps + 1:
         raise ValueError(f"{path}: expected {n_steps + 1} rows, got {len(rows)}")
-    snaps = np.ascontiguousarray(
-        np.loadtxt(rows, delimiter=",", ndmin=2)[:, 1:])
+    width = len(lines[body - 1].split(","))
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != width:
+        # numpy counts rows from the table, so find the line in the file
+        line = next(k for k, ln in enumerate(lines[body:], body + 1)
+                    if ln and not _is_row(ln, width))
+        raise ValueError(f"{path}: line {line} must hold {width} numbers, "
+                         f"got {lines[line - 1]!r:.80}") from None
+    snaps = np.ascontiguousarray(table[:, 1:])
     seed = header("seed", int) if meta.get("seed") else None
     return Trajectory(model=model, dt=header("dt"), snapshots=snaps,
                       seed=seed)

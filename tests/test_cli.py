@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -702,6 +704,38 @@ def test_main_success_and_error_paths(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("valid", [True, False], ids=["ok", "refused"])
+def test_command_process_exits_with_its_output(tmp_path, valid):
+    # the command as a user runs it, with stdout a pipe: the process ends
+    # without interpreter teardown, so its line, its exit code and its
+    # files must all be in place; the console script takes the same exit
+    cfg_path = _write_config(
+        tmp_path, None if valid else {"simulation": {"dt": -0.1}})
+    out = tmp_path / "run"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lindfit.cli", "--config", cfg_path,
+         "--out", str(out), "--threads", "2", "gen-data"],
+        env=env, capture_output=True, text=True, timeout=300)
+    if valid:
+        manifest = out / "data" / "manifest.json"
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"manifest: {manifest}\n", "")
+        names = json.loads(manifest.read_text())
+        for name in names["train_files"] + names["eval_files"]:
+            assert load_trajectory(str(out / "data" / name)).model.n_sites == 4
+    else:
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not out.exists()
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    assert re.search(r'^lindfit = "lindfit\.cli:console_entry"$',
+                     pyproject.read_text(), re.M)
+
+
 def test_main_capacity_error(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, {"model": {"n_sites": 13}})
     rc = main(["--config", cfg_path, "--out", str(tmp_path / "run"), "gen-data"])
@@ -864,6 +898,28 @@ def test_main_refusal_makes_no_directory(tmp_path, capsys, command, error):
     assert rc == 1
     assert json.loads(captured.err)["error"] == error
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config_dir,error", [(True, "IsADirectoryError"),
+                                              (False, "ConfigError")],
+                         ids=["config_directory", "out_file"])
+def test_main_refuses_paths_of_the_wrong_kind(tmp_path, capsys, monkeypatch,
+                                              config_dir, error):
+    # a --config naming a directory, or an --out naming a regular file:
+    # one JSON line naming it and exit 1, before any trajectory is simulated
+    def simulate(*_):
+        raise AssertionError("a trajectory was simulated")
+    monkeypatch.setattr(cli, "generate_trajectory", simulate)
+    cfg_path, out = _write_config(tmp_path), tmp_path / "out"
+    if config_dir:
+        cfg_path = str(tmp_path)
+    else:
+        out.write_text("kept\n")
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_path, "--out", str(out), "gen-data"]),
+        error)
+    assert (cfg_path if config_dir else str(out)) in message
+    assert not out.exists() if config_dir else out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])
@@ -1032,25 +1088,28 @@ def test_main_refuses_data_of_another_chain(tmp_path, capsys, other, differ):
     assert sorted(out.rglob("*")) == written
 
 
-@pytest.mark.parametrize("key,value,named", [
-    ("n_sites", None, "n_sites="), ("n_sites", "four", "n_sites="),
-    ("dt", "", "dt="), ("seed", "1.5", "seed="),
-    ("variant", "III", "unknown variant 'III'"),
-], ids=["missing", "not_a_number", "empty", "seed_float", "variant_unknown"])
-def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, key,
-                                                     value, named):
-    # a trajectory header line deleted (value None) or given a value that
-    # does not parse, or that no chain takes, is refused naming the file
-    # and the key or the value
+@pytest.mark.parametrize("pattern,line,named", [
+    ("n_sites=.*\n", "", "n_sites="), ("n_sites=.*", "n_sites=four", "n_sites="),
+    ("dt=.*", "dt=", "dt="), ("seed=.*", "seed=1.5", "seed="),
+    ("variant=.*", "variant=III", "unknown variant 'III'"),
+    ("1,[^,]*", "1,abc", "line 14 must hold 17 numbers"),
+    ("(step,.*)", "\\1,v_17", "line 13 must hold 18 numbers"),
+], ids=["missing", "not_a_number", "empty", "seed_float", "variant_unknown",
+        "row_not_a_number", "rows_narrower_than_header"])
+def test_main_names_trajectory_file_in_header_errors(tmp_path, capsys, pattern,
+                                                     line, named):
+    # a trajectory header line deleted or given a value that does not
+    # parse, or that no chain takes, is refused naming the file and the key
+    # or the value; a snapshot row that does not parse (the second, below
+    # eleven header lines and the column names), or rows narrower than the
+    # column names, naming the file and the row's line in the file
     cfg_path = _write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
     capsys.readouterr()
     traj = out / "data" / "train_001.csv"
-    lines = [ln for ln in traj.read_text().splitlines()
-             if value is not None or not ln.startswith(f"{key}=")]
-    traj.write_text("\n".join(f"{key}={value}" if ln.startswith(f"{key}=") else ln
-                              for ln in lines) + "\n")
+    traj.write_text(re.sub(f"^{pattern}", line, traj.read_text(), count=1,
+                           flags=re.M))
     message = _assert_one_error_line(
         capsys, main(["--config", cfg_path, "--out", str(out), "train"]),
         "ValueError")
@@ -1115,6 +1174,24 @@ def test_main_refuses_model_without_its_chain(tmp_path, capsys, command):
                       command]),
         "ConfigError")
     assert model_path in message and "re-run train" in message
+    assert not os.path.exists(os.path.join(out, "reports"))
+
+
+@pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])
+def test_main_refuses_model_of_another_dt(tmp_path, capsys, command):
+    # model.json's top-level dt set apart from the config's, its chain
+    # block left as train wrote it: refused, naming the file and both
+    # values, and no report written
+    _, model_path, out = _synthetic_eval_setup(tmp_path, n_eval_steps=10)
+    payload = json.loads(Path(model_path).read_text())
+    payload["dt"] = 0.05
+    Path(model_path).write_text(json.dumps(payload))
+    message = _assert_one_error_line(
+        capsys, main(["--config", _write_config(tmp_path), "--out", out,
+                      command]),
+        "ConfigError")
+    assert model_path in message
+    assert "dt=0.05" in message and "simulation.dt is 0.1" in message
     assert not os.path.exists(os.path.join(out, "reports"))
 
 

@@ -145,3 +145,14 @@ def test_importing_the_package_loads_none_of_its_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     assert out == [os.path.join(PACKAGE, "__init__.py"), "[]"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only gen-data and scan start a pool, so the other commands do not
+    pay at start-up for importing concurrent.futures and multiprocessing."""
+    code = ("import sys, lindfit.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('concurrent', 'multiprocessing'))))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
