@@ -582,6 +582,11 @@ def cmd_scan(cfg, out, threads=1):
     if cfg.simulation.n_eval_trajectories < 1:
         raise ConfigError("scan evaluates every cell; set "
                           "simulation.n_eval_trajectories >= 1")
+    for key, path in asdict(cfg.paths).items():
+        if os.path.isabs(path) or \
+                os.path.normpath(path).split(os.sep)[0] == os.pardir:
+            raise ConfigError(f"scan writes each cell's files in the cell's "
+                              f"directory; paths.{key}={path!r} leads out of it")
     values = [(v1, v2) for v1 in scan.axis1_values for v2 in scan.axis2_values]
     names = [_cell_dir_name(scan.axis1_name, v1, scan.axis2_name, v2)
              for v1, v2 in values]

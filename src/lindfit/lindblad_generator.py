@@ -407,10 +407,7 @@ def _taylor(A: np.ndarray, m: int, s: int):
     horner = np.empty((r,) + A.shape[:-2] + (2 * d, d))
     Xk, Pj = powers[:, ..., :d, :], horner[:, ..., :d, :]
     Xk[0] = _identity(d)
-    if s:
-        np.multiply(A, 0.5 ** s, out=Xk[1])
-    else:
-        Xk[1] = A
+    np.multiply(A, 0.5 ** s, out=Xk[1])
     for k in range(2, q + 1):
         np.matmul(Xk[1], Xk[k - 1], out=Xk[k])
     _coefficient_blocks(C, Xk, out=Pj)
@@ -442,10 +439,7 @@ def _taylor_frechet(state, E: np.ndarray) -> np.ndarray:
     r, q = C.shape[0], C.shape[1] - 1
     d = E.shape[-1]
     Dk, dPj = powers[:, ..., d:, :], horner[:, ..., d:, :]
-    if s:
-        np.multiply(E, 0.5 ** s, out=Dk[1])
-    else:
-        Dk[1] = E
+    np.multiply(E, 0.5 ** s, out=Dk[1])
     step = np.concatenate((Dk[1], powers[1, ..., :d, :]), axis=-1)
     for k in range(2, q + 1):
         np.matmul(step, powers[k - 1], out=Dk[k])

@@ -143,12 +143,12 @@ def build_bath_hamiltonian(model):
 
 
 def bath_thermal_state(model):
-    """rho_B proportional to exp(-beta H_bath), trace one."""
+    """rho_B proportional to exp(-beta H_bath), trace one; real, as
+    H_bath is."""
     Hb = build_bath_hamiltonian(model)
     w, U = np.linalg.eigh(Hb)
     g = np.exp(-model.beta * (w - w.min()))  # shift avoids overflow
-    rho = (U * g) @ U.T / g.sum()
-    return rho.astype(complex)
+    return (U * g) @ U.T / g.sum()
 
 
 @dataclass
@@ -168,7 +168,8 @@ class Trajectory:
 
 
 # complex elements per phase chunk: the chunk's rows times m stays near this,
-# so the phase arrays take O(chunk * m) memory beside the O(m^2) blocks
+# so the phase arrays take O(chunk * m) memory beside the O(m^2) blocks; at
+# m <= 2^MAX_SITES a chunk holds at least 122 rows
 _PHASE_CHUNK_ELEMS = 500_000
 
 
@@ -185,7 +186,7 @@ def _chain_eigensystem(model):
     m = 1 << n
     R = np.moveaxis(U.reshape((2,) * n + (m,)), [sa - 1, sb - 1], [0, 1])
     R = np.ascontiguousarray(R.reshape(4, m // 4, m))
-    return w, R, np.ascontiguousarray(bath_thermal_state(model).real)
+    return w, R, bath_thermal_state(model)
 
 
 def _check_capacity(model):
@@ -248,7 +249,7 @@ def evolve_and_reduce(model, rho_s0, dt, n_steps, seed=None):
     out = np.empty((n_snap, 4, 4), dtype=complex)
     gram = np.empty((m, m))
     block = np.empty((m, m), dtype=complex)
-    chunk = max(64, _PHASE_CHUNK_ELEMS // m)
+    chunk = _PHASE_CHUNK_ELEMS // m
     for start in range(0, n_snap, chunk):
         ks = np.arange(start, min(start + chunk, n_snap))
         P = np.exp(-1j * np.outer(ks * dt, w))

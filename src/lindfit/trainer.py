@@ -14,11 +14,12 @@ A dataset holds each role's pairs once, as a table with one row
 [v_in | v_out] per pair; a batch is a gather of rows, handed to
 loss_and_gradient as columns, which works on them one pair per row.
 
-train runs C problems in lockstep: parameters, Adam moments and batches
-carry a leading cell axis, and each step is one loss_and_gradient and one
-adam_step over all cells.  Cells are grouped by Taylor plan and every
-matrix product is the one a lone cell takes, so a cell's result does not
-depend on the cells trained beside it; a single problem is C = 1.
+train takes a list of C problems and returns a list of C results, running
+them in lockstep: parameters, Adam moments and batches carry a leading
+cell axis, and each step is one loss_and_gradient and one adam_step over
+all cells.  Cells are grouped by Taylor plan and every matrix product is
+the one a lone cell takes, so a cell's result does not depend on the cells
+trained beside it; one problem is a list of one.
 
 Trajectories are split into training and validation sets as whole
 trajectories, never snapshot-wise, so validation measures generalization
@@ -159,12 +160,9 @@ def loss_and_gradient(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarr
 
 def loss(params: GeneratorParams, v_in: np.ndarray, v_out: np.ndarray,
          dt: float, tensors: np.ndarray) -> float:
-    """Forward-only batch loss (empty batches score 0)."""
-    B = v_in.shape[1]
-    if B == 0:
-        return 0.0
+    """Forward-only loss over a non-empty batch."""
     resid = propagate(_generator(params, tensors), dt) @ v_in - v_out
-    return float((resid * resid).sum() / B)
+    return float((resid * resid).sum() / v_in.shape[1])
 
 
 def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
@@ -196,42 +194,32 @@ def adam_step(state: AdamState, params: GeneratorParams, grads: GeneratorParams,
     return state, params
 
 
-def train(config: TrainConfig, dataset):
-    """Run the Adam loop; deterministic for a fixed seed.
+def train(config: TrainConfig, datasets):
+    """Run the Adam loop over a sequence of datasets in lockstep;
+    deterministic for a fixed seed.
 
-    dataset is one Dataset, or a sequence of C datasets of one operator
-    dimension trained in lockstep.  Each cell draws its initialization and
-    batches from its own generator seeded with config.seed, and every step
-    is one loss_and_gradient and one adam_step over the cells still
-    training, so a cell ends bit for bit where it would alone.  A sequence
-    returns a list with each cell's TrainResult, or the exception that
-    stopped the cell (an empty training set, or a non-finite batch loss,
-    after which the other cells go on); a single Dataset returns its
-    TrainResult or raises that exception.
+    The datasets must share one operator dimension and hold non-empty
+    training tables, or the call is refused with ValueError.  Each cell
+    draws its initialization and batches from its own generator seeded
+    with config.seed, and every step is one loss_and_gradient and one
+    adam_step over the cells still training, so a cell ends bit for bit
+    where it would alone; one problem is a list of one.  Returns a list
+    with each cell's TrainResult, or the RuntimeError of a non-finite batch
+    loss that stopped the cell, after which the other cells go on.
 
     Histories hold the loss over the complete training and validation
     sets, evaluated at initialization (epoch 0) and after every epoch.
     """
-    single = isinstance(dataset, Dataset)
-    datasets = [dataset] if single else list(dataset)
-    results = [ValueError("empty training set") if len(ds.train) == 0 else None
-               for ds in datasets]
-    live = [i for i, r in enumerate(results) if r is None]
-    if live:
-        _train_cells(config, [datasets[i] for i in live], live, results)
-    if single:
-        if isinstance(results[0], Exception):
-            raise results[0]
-        return results[0]
-    return results
-
-
-def _train_cells(config, datasets, ids, results):
-    """The lockstep Adam loop of train over non-empty datasets; writes
-    results[ids[c]] for cell c."""
+    datasets = list(datasets)
+    if not datasets:
+        return []
     d2 = datasets[0].train.shape[1] // 2
     if any(ds.train.shape[1] != 2 * d2 for ds in datasets):
         raise ValueError("datasets of different operator dimensions")
+    if any(len(ds.train) == 0 for ds in datasets):
+        raise ValueError("empty training set")
+    results = [None] * len(datasets)
+    ids = list(range(len(datasets)))
     basis = basis_for_dimension(int(round(np.sqrt(d2))))
     tensors = precompute_dissipator_tensors(basis)
     rngs = [np.random.default_rng(config.seed) for _ in datasets]
@@ -270,7 +258,7 @@ def _train_cells(config, datasets, ids, results):
                         f"non-finite loss at epoch {epoch}, step {state.step}: {x}")
                 keep = [c for c in range(len(ids)) if c not in bad]
                 if not keep:
-                    return
+                    return results
                 params, grads = (GeneratorParams.from_theta(p.theta[keep])
                                  for p in (params, grads))
                 state = AdamState(m=state.m[keep], v=state.v[keep], step=state.step)
@@ -285,6 +273,7 @@ def _train_cells(config, datasets, ids, results):
         results[ids[c]] = TrainResult(
             params=GeneratorParams.from_theta(params.theta[c].copy()),
             train_history=train_h, val_history=val_h)
+    return results
 
 
 def save_loss_curves(path, train_history, val_history) -> None:

@@ -101,7 +101,7 @@ def synthetic_fit(synthetic_truth):
         trajs.append(SimpleNamespace(dt=dt, snapshots=snaps))
     dataset = build_dataset(trajs, 0.8, rng=default_rng(9))
     config = TrainConfig(init_scale=0.05, seed=0)
-    result = train(config, dataset)
+    [result] = train(config, [dataset])
     return SimpleNamespace(config=config, result=result, dt=dt,
                            elapsed=time.perf_counter() - t0)
 
@@ -125,7 +125,7 @@ def _run_cell(model):
                                       derive_seed(2025, "eval", i))
                   for i in range(5)]
     dataset = build_dataset(train_trajs, 0.8, rng=default_rng(7))
-    result = train(TrainConfig(epochs=100, init_scale=0.05, seed=0), dataset)
+    [result] = train(TrainConfig(epochs=100, init_scale=0.05, seed=0), [dataset])
 
     basis = build_pauli_basis(2)
     L = assemble_generator(result.params, basis)

@@ -483,24 +483,30 @@ def test_eval_rejects_dt_mismatch(tmp_path):
 
 
 def test_scan_grid_and_failure_rows(tmp_path):
+    # at 2 threads the failing beta = -1 cell is alone in its group, which
+    # then trains no dataset at all
     over = {"scan": {"axis1_name": "beta", "axis1_values": [0.0, -1.0],
                      "axis2_name": "V_prime", "axis2_values": [0.3]},
             "training": {"epochs": 0},
             "metrics": {"n_initial_conditions": 1, "max_window_steps": 500}}
     cfg = load_config(_write_config(tmp_path, over))
-    out = str(tmp_path / "run")
-    csv_path = cmd_scan(cfg, out)
-    lines = Path(csv_path).read_text().strip().split("\n")
-    assert lines[0] == ("axis1,axis2,i_err_interp,i_err_extrap,fvu_interp,"
-                        "fvu_extrap,epsilon,status")
-    assert len(lines) == 3
-    ok_row = lines[1].split(",")
-    assert ok_row[0] == "0" and ok_row[-1] == "ok"
-    bad_row = lines[2].split(",")
-    assert bad_row[0] == "-1" and bad_row[-1].startswith("failed: ValueError")
-    cell = os.path.join(out, "scan", "beta=0_V_prime=0.3")
-    assert os.path.exists(os.path.join(cell, "models", "model.json"))
-    assert os.path.exists(os.path.join(cell, "reports", "eval_report.csv"))
+    written = []
+    for threads in (1, 2):
+        out = str(tmp_path / f"run_{threads}")
+        csv_path = cmd_scan(cfg, out, threads=threads)
+        lines = Path(csv_path).read_text().strip().split("\n")
+        assert lines[0] == ("axis1,axis2,i_err_interp,i_err_extrap,fvu_interp,"
+                            "fvu_extrap,epsilon,status")
+        assert len(lines) == 3
+        ok_row = lines[1].split(",")
+        assert ok_row[0] == "0" and ok_row[-1] == "ok"
+        bad_row = lines[2].split(",")
+        assert bad_row[0] == "-1" and bad_row[-1].startswith("failed: ValueError")
+        cell = os.path.join(out, "scan", "beta=0_V_prime=0.3")
+        assert os.path.exists(os.path.join(cell, "models", "model.json"))
+        assert os.path.exists(os.path.join(cell, "reports", "eval_report.csv"))
+        written.append(Path(csv_path).read_bytes())
+    assert written[0] == written[1]
 
 
 def test_scan_rejects_bad_axis(tmp_path):
@@ -514,6 +520,27 @@ def test_scan_rejects_bad_axis(tmp_path):
         with pytest.raises(ConfigError):
             cmd_scan(cfg, str(tmp_path / "run"))
         assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("key,path", [("data_dir", "ABSOLUTE"),
+                                      ("model_dir", "../../shared_models"),
+                                      ("report_dir", "ABSOLUTE")],
+                         ids=["absolute_data_dir", "model_dir_out_of_cell",
+                              "absolute_report_dir"])
+def test_scan_refuses_paths_out_of_the_cell(tmp_path, capsys, key, path):
+    # every cell must keep its own files: a path that is absolute or leads
+    # out of the cell directory would put all cells' files in one place
+    if path == "ABSOLUTE":
+        path = str(tmp_path / "shared")
+    over = {"scan": {"axis1_name": "beta", "axis1_values": [0.0, 0.5],
+                     "axis2_name": "V_prime", "axis2_values": [0.3]},
+            "paths": {key: path}}
+    out = tmp_path / "run"
+    message = _assert_one_error_line(
+        capsys, main(["--config", _write_config(tmp_path, over),
+                      "--out", str(out), "scan"]), "ConfigError")
+    assert f"paths.{key}" in message
+    assert not out.exists() and not (tmp_path / "shared").exists()
 
 
 @pytest.mark.parametrize("alphas", [[1.0000001, 1.0000002], [0.5, 0.5], [1, 1.0]],

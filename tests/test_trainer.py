@@ -97,14 +97,6 @@ def test_loss_zero_at_generating_params():
     assert max(np.abs(g.omega).max(), np.abs(g.X).max(), np.abs(g.Y).max()) < 1e-12
 
 
-def test_loss_empty_batch_is_zero():
-    basis = build_pauli_basis(1)
-    tensors = precompute_dissipator_tensors(basis)
-    params = GeneratorParams.from_theta(np.zeros(basis.n + 2 * basis.n ** 2))
-    empty = np.zeros((4, 0))
-    assert loss(params, empty, empty, 0.1, tensors) == 0.0
-
-
 def test_gradient_matches_finite_differences():
     basis = build_pauli_basis(1)
     tensors = precompute_dissipator_tensors(basis)
@@ -228,7 +220,7 @@ def test_train_zero_epochs_returns_seeded_init():
         GeneratorParams.random(3, 0.3, np.random.default_rng(2)), basis, 0.1, 10, 2, seed=3)
     ds = build_dataset(trajs, split_fraction=1.0)
     cfg = TrainConfig(epochs=0, init_scale=0.2, seed=17)
-    res = train(cfg, ds)
+    [res] = train(cfg, [ds])
     expect = GeneratorParams.random(basis.n, 0.2, np.random.default_rng(17))
     np.testing.assert_array_equal(res.params.omega, expect.omega)
     np.testing.assert_array_equal(res.params.X, expect.X)
@@ -241,8 +233,8 @@ def test_train_deterministic_and_histories():
     trajs = _synthetic_trajectories(true, basis, 0.05, 40, 5, seed=6)
     cfg = TrainConfig(epochs=5, batch_size=32, batches_per_epoch=200, seed=1, init_scale=0.05)
     ds = build_dataset(trajs, split_fraction=0.8, rng=np.random.default_rng(0))
-    a = train(cfg, ds)
-    b = train(cfg, ds)
+    [a] = train(cfg, [ds])
+    [b] = train(cfg, [ds])
     np.testing.assert_array_equal(a.params.omega, b.params.omega)
     np.testing.assert_array_equal(a.params.X, b.params.X)
     assert len(a.train_history) == cfg.epochs + 1
@@ -256,8 +248,9 @@ def test_train_raises_on_non_finite_loss():
     snaps = np.full((5, 4), np.inf)
     snaps[:, -1] = 1 / np.sqrt(2)
     ds = build_dataset([_traj(0.1, snaps)], split_fraction=1.0)
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
-        train(TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4), ds)
+    with np.errstate(invalid="ignore"):
+        [result] = train(TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4), [ds])
+    assert isinstance(result, RuntimeError)
 
 
 def _assert_same_result(a, b):
@@ -275,7 +268,7 @@ def test_lockstep_cells_equal_lone_training(monkeypatch):
         for k, dt in enumerate((0.01, 0.1, 1.0))]
     cfg = TrainConfig(epochs=2, batch_size=16, batches_per_epoch=30,
                       learning_rate=1e-2, init_scale=0.3, seed=4)
-    alone = [train(cfg, ds) for ds in datasets]
+    alone = [train(cfg, [ds])[0] for ds in datasets]
     plans_per_step = []
     real = trainer.propagate_with_cache
 
@@ -301,15 +294,26 @@ def test_lockstep_non_finite_cell_fails_alone():
     datasets[1].train[40, 4:] = np.inf
     cfg = TrainConfig(epochs=3, batch_size=4, batches_per_epoch=20, seed=2)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(RuntimeError) as lone_failure:
-            train(cfg, datasets[1])
+        [lone_failure] = train(cfg, [datasets[1]])
         results = train(cfg, datasets)
+    assert isinstance(lone_failure, RuntimeError)
     assert isinstance(results[1], RuntimeError)
-    assert str(results[1]) == str(lone_failure.value)
+    assert str(results[1]) == str(lone_failure)
     assert str(results[1]).startswith("non-finite loss at epoch")
     assert "step 0:" not in str(results[1])  # it failed mid-training
     for k in (0, 2):
-        _assert_same_result(results[k], train(cfg, datasets[k]))
+        _assert_same_result(results[k], train(cfg, [datasets[k]])[0])
+
+
+def test_train_refuses_an_empty_training_table():
+    # an empty table refuses the whole call, before any cell trains; no
+    # dataset at all trains nothing
+    full = build_dataset([_traj(0.1, np.zeros((4, 4)))])
+    empty = trainer.Dataset(dt=0.1, train=np.zeros((0, 8)), val=np.zeros((0, 8)))
+    cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4)
+    with pytest.raises(ValueError, match="empty training set"):
+        train(cfg, [full, empty])
+    assert train(cfg, []) == []
 
 
 def test_save_loss_curves(tmp_path):
