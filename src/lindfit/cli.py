@@ -112,7 +112,9 @@ def _block(cls, payload, name):
 
     The keys are the fields __init__ takes; unknown keys, missing required
     keys and values of the wrong type are refused with ConfigError.  JSON
-    lists become tuples and fields that are blocks are read the same way.
+    lists become tuples of floats, so that a scan cell's seed and files do
+    not depend on whether its value is spelled 1 or 1.0, and fields that
+    are blocks are read the same way.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"{name} block must be a JSON object, got {payload!r}")
@@ -134,7 +136,7 @@ def _block(cls, payload, name):
         want, ok = _FIELD_KINDS[kind]
         if not ok(value):
             raise ConfigError(f"{name}.{key} must be {want}, got {value!r}")
-        values[key] = tuple(value) if kind is tuple else value
+        values[key] = tuple(map(float, value)) if kind is tuple else value
     return cls(**values)
 
 

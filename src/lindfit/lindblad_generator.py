@@ -33,13 +33,13 @@ Sci. Comput. 33(2), 2011): the smallest m in {2, 4, 6, 9, 12, 16} with
 ||A||_1 <= theta_m, else m = 16 and the least s with ||A||_1 / 2^s <=
 theta_16.  The polynomial is evaluated by Paterson-Stockmeyer.
 
-The adjoint differentiates that evaluation.  The computed function f has
-real coefficients, so the adjoint of its Frechet derivative L_f(A, .) is
+The adjoint runs the same evaluation.  The computed function f has real
+coefficients, so the adjoint of its Frechet derivative L_f(A, .) is
 L_f(A^T, .) (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30(4), 2009).
-The series is evaluated on A^T, giving exp(A)^T, and L_f(A^T, M_bar) is
-the derivative of every step of that evaluation in direction M_bar, formed
-from the powers and partial sums it kept, with the same m and s, so the
-gradients are exact for the function actually computed.
+The series is evaluated on A^T, giving exp(A)^T, and L_f(A^T, M_bar) is the
+lower-left block of f on the block-triangular [[A^T, 0], [M_bar, A^T]]
+(Higham, Functions of Matrices, 2008, Thm 3.6), evaluated with the same m
+and s, so the gradients are exact for the function actually computed.
 
 Parameters, assembly, the propagator and its adjoint also take stacks
 (leading axes, one entry per cell trained in lockstep).  Each generator of
@@ -332,16 +332,15 @@ class _ExpmCache:
     """What propagate_backward needs from one propagate_with_cache call.
 
     groups lists (indices, m, s) for the matrices that share each Taylor
-    plan, largest plan last, and states the intermediates _taylor kept for
-    each group.  terms holds the m + 1 Taylor coefficients and squares the
-    s matrices that were squared of that largest plan, which is the only
-    one unless a stack mixes plans.
+    plan, largest plan last, and At holds A^T, the matrices the series ran
+    on.  terms holds the m + 1 Taylor coefficients and squares range(s) of
+    that largest plan, which is the only one unless a stack mixes plans.
     """
 
     groups: list
-    states: list
+    At: np.ndarray
     terms: np.ndarray
-    squares: list
+    squares: range
 
 
 def _one_norms(A: np.ndarray) -> np.ndarray:
@@ -389,87 +388,56 @@ def _coefficient_blocks(C: np.ndarray, powers: np.ndarray, out: np.ndarray) -> N
               out=out.reshape(out.shape[:1] + flat).swapaxes(0, -2))
 
 
-def _taylor(A: np.ndarray, m: int, s: int):
-    """p_m(A / 2^s)^(2^s); returns it and the intermediates _taylor_frechet
-    reads, (m, s, powers, horner, squares).
+def _taylor(A: np.ndarray, m: int, s: int) -> np.ndarray:
+    """p_m(A / 2^s)^(2^s) by Paterson-Stockmeyer, then s squarings.
 
-    powers[k] holds X^k for X = A / 2^s over room for its derivative, and
-    horner[j] the Paterson-Stockmeyer partial sum P_j = B_j + X^q P_{j+1}
-    over room for its derivative; squares holds the s matrices that were
-    squared.  A may be a stack (C, d, d).  Every matrix of it goes through
-    the same products it would take alone, so its result does not depend
-    on the others.
+    With X = A / 2^s, the powers X^k for k <= q are formed first, then the
+    partial sums P_j = B_j + X^q P_(j+1) from the last block down.  A may be
+    a stack (C, d, d).  Every matrix of it goes through the same products it
+    would take alone, so its result does not depend on the others.
     """
     C = _PS_COEFFICIENTS[m]
     r, q = C.shape[0], C.shape[1] - 1
     d = A.shape[-1]
-    powers = np.empty((q + 1,) + A.shape[:-2] + (2 * d, d))
-    horner = np.empty((r,) + A.shape[:-2] + (2 * d, d))
-    Xk, Pj = powers[:, ..., :d, :], horner[:, ..., :d, :]
+    Xk = np.empty((q + 1,) + A.shape)
     Xk[0] = _identity(d)
     np.multiply(A, 0.5 ** s, out=Xk[1])
     for k in range(2, q + 1):
         np.matmul(Xk[1], Xk[k - 1], out=Xk[k])
+    Pj = np.empty((r,) + A.shape)
     _coefficient_blocks(C, Xk, out=Pj)
     for j in range(r - 2, -1, -1):
         P = Pj[j]
         P += Xk[q] @ Pj[j + 1]
     P = Pj[0]
-    squares = []
     for _ in range(s):
-        squares.append(P)
         P = P @ P
-    return P, (m, s, powers, horner, squares)
+    return P
 
 
-def _taylor_frechet(state, E: np.ndarray) -> np.ndarray:
-    """The derivative of _taylor's result in direction E, from its kept
-    intermediates.
+def _grouped_taylor(groups: list, A: np.ndarray) -> np.ndarray:
+    """_taylor on each plan group of A, one matrix or a stack, into a
+    C-ordered result whatever the layout of A."""
+    P = np.empty(A.shape)
+    for idx, m, s in groups:
+        P[idx] = _taylor(A[idx], m, s)
+    return P
 
-    Every step of the forward evaluation is differentiated in turn (D_k of
-    X^k, then of P_j, then of each square), so the result is the exact
-    Frechet derivative of the function that was computed.  A power
-    X^k = X X^(k-1) has derivative [E_s | X] @ [X^(k-1); D_(k-1)], and a
-    partial sum B_j + X^q P_(j+1) has dB_j + [D_q | X^q] @ [P_(j+1); dP_(j+1)],
-    each one product per matrix with the forward factor and its derivative
-    stacked as powers and horner hold them.
+
+def _propagate(L: np.ndarray, dt: float):
+    """exp(A) for A = dt L, one matrix or a stack, and its _ExpmCache.
+
+    The series is evaluated on A^T, and its result p(A^T) = p(A)^T is
+    returned transposed, so that the adjoint runs on the same matrices (see
+    propagate_backward).
     """
-    m, s, powers, horner, squares = state
-    C = _PS_COEFFICIENTS[m]
-    r, q = C.shape[0], C.shape[1] - 1
-    d = E.shape[-1]
-    Dk, dPj = powers[:, ..., d:, :], horner[:, ..., d:, :]
-    np.multiply(E, 0.5 ** s, out=Dk[1])
-    step = np.concatenate((Dk[1], powers[1, ..., :d, :]), axis=-1)
-    for k in range(2, q + 1):
-        np.matmul(step, powers[k - 1], out=Dk[k])
-    _coefficient_blocks(C[:, 1:], Dk[1:], out=dPj)
-    step = np.concatenate((Dk[q], powers[q, ..., :d, :]), axis=-1)
-    for j in range(r - 2, -1, -1):
-        dP = dPj[j]
-        dP += step @ horner[j + 1]
-    dP = dPj[0]
-    for S in squares:
-        dP = dP @ S + S @ dP
-    return dP
-
-
-def _propagate(A: np.ndarray):
-    """exp(A) for A = dt L, one matrix or a stack, each on its own plan:
-    returns it, the plan groups and each group's kept intermediates.
-
-    The series is evaluated on A^T, whose result p(A^T) = p(A)^T is kept
-    as it is and returned transposed, so that its adjoint runs on the same
-    intermediates without a transposition (see propagate_backward).
-    """
+    A = dt * np.asarray(L, dtype=float)
     groups = _plan_groups(A)
     At = A.swapaxes(-1, -2)
-    P = np.empty_like(A)
-    states = []
-    for idx, m, s in groups:
-        P[idx], state = _taylor(At[idx], m, s)
-        states.append(state)
-    return P.swapaxes(-1, -2), groups, states
+    _, m, s = groups[-1]
+    return (_grouped_taylor(groups, At).swapaxes(-1, -2),
+            _ExpmCache(groups=groups, At=At, terms=_TAYLOR_COEFFICIENTS[:m + 1],
+                       squares=range(s)))
 
 
 def propagate(L: np.ndarray, dt: float) -> np.ndarray:
@@ -479,31 +447,29 @@ def propagate(L: np.ndarray, dt: float) -> np.ndarray:
     of them shaped (C, 1, 1); each takes its own Taylor plan, so its
     propagator is the one a lone call gives.
     """
-    return _propagate(dt * np.asarray(L, dtype=float))[0]
+    return _propagate(L, dt)[0]
 
 
 def propagate_with_cache(L: np.ndarray, dt: float):
-    """Like propagate, but returns the intermediates for reverse mode."""
-    M, groups, states = _propagate(dt * np.asarray(L, dtype=float))
-    m, s, _, _, squares = states[-1]
-    return M, _ExpmCache(groups=groups, states=states,
-                         terms=_TAYLOR_COEFFICIENTS[:m + 1], squares=squares)
+    """Like propagate, but also returns what propagate_backward reads."""
+    return _propagate(L, dt)
 
 
 def propagate_backward(cache: _ExpmCache, M_bar: np.ndarray, dt: float) -> np.ndarray:
     """Adjoint of propagate: dLoss/dL from dLoss/dM.
 
     The computed function f has real coefficients, so the adjoint of its
-    Frechet derivative is L_f(A^T, M_bar), the derivative of the forward
-    evaluation, which ran on A^T, in direction M_bar.  It is formed from
-    that evaluation's own powers and partial sums, with the same degree and
-    scaling, and is exact for the forward truncation.  Each matrix of a
-    stack keeps its forward plan.
+    Frechet derivative is L_f(A^T, M_bar).  That is the lower-left block of
+    f evaluated on [[A^T, 0], [M_bar, A^T]] (Higham, Functions of Matrices,
+    2008, Thm 3.6), here by the forward's own _taylor with each group's
+    degree and scaling, so it is exact for the forward truncation.
     """
-    F = np.empty_like(M_bar)
-    for (idx, _, _), state in zip(cache.groups, cache.states):
-        F[idx] = _taylor_frechet(state, M_bar[idx])
-    return dt * F
+    At = cache.At
+    d = At.shape[-1]
+    Z = np.zeros(At.shape[:-2] + (2 * d, 2 * d))
+    Z[..., :d, :d] = Z[..., d:, d:] = At
+    Z[..., d:, :d] = M_bar
+    return dt * _grouped_taylor(cache.groups, Z)[..., d:, :d]
 
 
 def propagate_trajectory(L: np.ndarray, v0: np.ndarray, dt: float, n_steps: int) -> np.ndarray:

@@ -364,8 +364,9 @@ def _is_row(text, width):
 def load_trajectory(path):
     """Read a save_trajectory file; one without its snapshot table, of another
     basis convention, with a header key missing or unparsed, of a chain
-    SpinChainModel refuses, or with a row that is not one number per column
-    is refused with ValueError naming the file (and the line of a bad row)."""
+    SpinChainModel refuses, with a row that is not one number per column, or
+    with columns other than step and the basis's components is refused with
+    ValueError naming the file (and the line of a bad row)."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     meta = {}
@@ -378,7 +379,8 @@ def load_trajectory(path):
         meta[key] = val
     else:
         raise ValueError(f"{path}: no snapshot table found")
-    convention = build_pauli_basis(2).convention_id
+    basis = build_pauli_basis(2)
+    convention = basis.convention_id
     if meta.get("convention_id") != convention:
         raise ValueError(f"{path}: trajectory uses basis convention "
                          f"{meta.get('convention_id')!r}, expected {convention!r}")
@@ -411,6 +413,10 @@ def load_trajectory(path):
                     if ln and not _is_row(ln, width))
         raise ValueError(f"{path}: line {line} must hold {width} numbers, "
                          f"got {lines[line - 1]!r:.80}") from None
+    if width != basis.n + 2:
+        raise ValueError(f"{path}: snapshot table has {width} columns, expected "
+                         f"{basis.n + 2} (step and the {basis.n + 1} components "
+                         f"of {convention})")
     snaps = np.ascontiguousarray(table[:, 1:])
     seed = header("seed", int) if meta.get("seed") else None
     return Trajectory(model=model, dt=header("dt"), snapshots=snaps,

@@ -465,6 +465,30 @@ def test_scan_cells_match_per_command_runs(tmp_path):
                 (scan_dir / name).read_bytes(), name
 
 
+def test_scan_cell_files_do_not_depend_on_value_spelling(tmp_path):
+    # 1 and 1.0 name one cell: its seed, and so every file of the run, must
+    # not depend on which spelling the config uses
+    runs = []
+    for alphas in ([1, 0.5], [1.0, 0.5]):
+        over = {"model": {"variant": "II", "n_sites": 4, "omega": 1.0, "V": 0.1,
+                          "alpha": 0.3, "beta": 0.0, "V_prime": 0.0},
+                "scan": {"axis1_name": "alpha", "axis1_values": alphas,
+                         "axis2_name": "V", "axis2_values": [1]},
+                "training": {"epochs": 1},
+                "metrics": {"n_initial_conditions": 1, "max_window_steps": 500}}
+        run = tmp_path / f"alpha_{alphas[0]!r}"
+        run.mkdir()
+        cmd_scan(load_config(_write_config(run, over)), str(run / "out"))
+        runs.append(run / "out")
+    files = sorted(os.path.relpath(os.path.join(d, f), runs[0])
+                   for d, _, fs in os.walk(runs[0]) for f in fs)
+    assert "scan/alpha=1_V=1/data/train_000.csv" in files
+    assert files == sorted(os.path.relpath(os.path.join(d, f), runs[1])
+                           for d, _, fs in os.walk(runs[1]) for f in fs)
+    for name in files:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
 def test_eval_flags_missing_extrapolation(tmp_path):
     # files stop at T_train, so the extrapolation window cannot be scored
     cfg, _, out = _synthetic_eval_setup(tmp_path, n_eval_steps=5)
@@ -947,6 +971,28 @@ def test_main_refuses_paths_of_the_wrong_kind(tmp_path, capsys, monkeypatch,
         error)
     assert (cfg_path if config_dir else str(out)) in message
     assert not out.exists() if config_dir else out.read_text() == "kept\n"
+
+
+def test_train_refuses_a_trajectory_table_of_the_wrong_width(tmp_path, capsys,
+                                                            monkeypatch):
+    # a gen-data file cut to 5 columns is refused as train reads it, naming
+    # the file and both widths, before any Adam step
+    cfg_path, out = _write_config(tmp_path), tmp_path / "out"
+    assert main(["--config", cfg_path, "--out", str(out), "gen-data"]) == 0
+    path = out / "data" / "train_001.csv"
+    lines = path.read_text().split("\n")
+    body = next(k for k, ln in enumerate(lines) if ln.startswith("step,"))
+    path.write_text("\n".join(lines[:body] + [",".join(ln.split(",")[:5])
+                                              for ln in lines[body:]]))
+
+    def step(*_):
+        raise AssertionError("an Adam step was taken")
+    monkeypatch.setattr(cli, "train", step)
+    capsys.readouterr()
+    message = _assert_one_error_line(
+        capsys, main(["--config", cfg_path, "--out", str(out), "train"]),
+        "ValueError")
+    assert str(path) in message and "5 columns, expected 17" in message
 
 
 @pytest.mark.parametrize("command", ["eval", "stationary", "interpret"])

@@ -277,6 +277,40 @@ def test_propagate_backward_matches_fd(basis2, dt, degree, squarings):
         assert abs(grad[i, j] - fd) < 1e-5 * max(1.0, abs(fd))
 
 
+def _frechet_oracle(L, W, dt):
+    # dLoss/dL for M = exp(dt L) is dt L_exp(dt L^T, W), here by SciPy's
+    # own scaling-and-squaring Pade evaluation
+    return dt * scipy.linalg.expm_frechet(dt * L.T, W, compute_expm=False)
+
+
+@pytest.mark.parametrize("dt,degree,squarings", [(0.37, 16, 5), (0.01, 16, 0),
+                                                 (7e-4, 9, 0)])
+def test_propagate_backward_matches_expm_frechet(basis2, dt, degree, squarings):
+    rng = np.random.default_rng(8)
+    L = assemble_generator(GeneratorParams.random(basis2.n, 0.4, rng), basis2)
+    W = rng.standard_normal((16, 16))
+    _, cache = propagate_with_cache(L, dt)
+    assert (len(cache.terms) - 1, len(cache.squares)) == (degree, squarings)
+    ref = _frechet_oracle(L, W, dt)
+    grad = propagate_backward(cache, W, dt)
+    assert np.abs(grad - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_propagate_backward_of_a_mixed_plan_stack_matches_expm_frechet(basis2):
+    # three cells on three Taylor plans at one dt, each against its own oracle
+    rng = np.random.default_rng(9)
+    dt = 0.05
+    L = np.stack([assemble_generator(GeneratorParams.random(basis2.n, scale, rng), basis2)
+                  for scale in (0.02, 0.4, 2.0)])
+    W = rng.standard_normal((3, 16, 16))
+    _, cache = propagate_with_cache(L, dt)
+    assert len({(m, s) for _, m, s in cache.groups}) == 3
+    grad = propagate_backward(cache, W, dt)
+    for k in range(3):
+        ref = _frechet_oracle(L[k], W[k], dt)
+        assert np.abs(grad[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_propagate_trajectory_shape_and_pin(basis2, rng):
     params = GeneratorParams.random(basis2.n, 0.3, rng)
     L = assemble_generator(params, basis2)
