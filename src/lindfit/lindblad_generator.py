@@ -417,7 +417,8 @@ def _taylor(A: np.ndarray, m: int, s: int) -> np.ndarray:
 
 def _grouped_taylor(groups: list, A: np.ndarray) -> np.ndarray:
     """_taylor on each plan group of A, one matrix or a stack, into a
-    C-ordered result whatever the layout of A."""
+    C-ordered result whatever the layout of A: the products downstream of
+    the propagator round differently on another layout."""
     P = np.empty(A.shape)
     for idx, m, s in groups:
         P[idx] = _taylor(A[idx], m, s)
